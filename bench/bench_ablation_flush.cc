@@ -46,30 +46,6 @@ reproduce()
                                        sim::Frequency::ghz(3.0))));
 }
 
-void
-BM_FlushTimeQuery(benchmark::State &state)
-{
-    const auto caches = uarch::PrivateCaches::skylakeServer();
-    const auto &fm = caches.flushModel();
-    const auto lines = caches.totalLines();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(fm.flushTime(
-            lines, 0.5, sim::Frequency::ghz(2.2)));
-    }
-}
-BENCHMARK(BM_FlushTimeQuery);
-
-void
-BM_CacheTouch(benchmark::State &state)
-{
-    auto caches = uarch::PrivateCaches::skylakeServer();
-    for (auto _ : state) {
-        caches.touch(0.25);
-        benchmark::DoNotOptimize(caches.dirtyFraction());
-    }
-}
-BENCHMARK(BM_CacheTouch);
-
 } // namespace
 
 AW_BENCH_MAIN(reproduce)

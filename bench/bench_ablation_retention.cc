@@ -55,17 +55,6 @@ reproduce()
                 "Skylake context.\n");
 }
 
-void
-BM_ExternalTransferTime(benchmark::State &state)
-{
-    const ExternalSaveRestore ext;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            ext.transferTime(sim::Frequency::ghz(2.2)));
-    }
-}
-BENCHMARK(BM_ExternalTransferTime);
-
 } // namespace
 
 AW_BENCH_MAIN(reproduce)

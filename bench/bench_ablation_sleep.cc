@@ -64,20 +64,6 @@ reproduce()
                     arrays.sleepPowerAtSetting(0)));
 }
 
-void
-BM_SleepSettingQuery(benchmark::State &state)
-{
-    const auto arrays = power::SramSleepMode::skylakeL1L2();
-    for (auto _ : state) {
-        for (unsigned s = 0; s < power::SramSleepMode::kSettings;
-             ++s) {
-            benchmark::DoNotOptimize(
-                arrays.sleepPowerAtSetting(s));
-        }
-    }
-}
-BENCHMARK(BM_SleepSettingQuery);
-
 } // namespace
 
 AW_BENCH_MAIN(reproduce)

@@ -57,16 +57,6 @@ reproduce()
                 area * 15.0);
 }
 
-void
-BM_PlanConstruction(benchmark::State &state)
-{
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            StaggeredWakeupPlan::proportional(4.5, 5));
-    }
-}
-BENCHMARK(BM_PlanConstruction);
-
 } // namespace
 
 AW_BENCH_MAIN(reproduce)

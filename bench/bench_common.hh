@@ -1,14 +1,12 @@
 /**
  * @file
- * Shared helpers for the benchmark harnesses: every bench binary
- * first regenerates its paper table/figure (printed to stdout),
- * then runs its google-benchmark microbenchmarks.
+ * Shared helpers for the reproduction harnesses: every bench binary
+ * regenerates one paper table/figure (or extension study) and prints
+ * it to stdout.
  */
 
 #ifndef AW_BENCH_COMMON_HH
 #define AW_BENCH_COMMON_HH
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 
@@ -24,18 +22,17 @@ banner(const char *title)
 }
 
 /**
- * Standard main: print the reproduction first, then run the
- * registered microbenchmarks.
+ * Standard main: print the reproduction. The harnesses take no
+ * arguments; any argument is a usage error (exit 1).
  */
 #define AW_BENCH_MAIN(reproduce_fn)                                  \
     int main(int argc, char **argv)                                  \
     {                                                                \
-        reproduce_fn();                                              \
-        benchmark::Initialize(&argc, argv);                          \
-        if (benchmark::ReportUnrecognizedArguments(argc, argv))      \
+        if (argc > 1) {                                              \
+            std::fprintf(stderr, "usage: %s\n", argv[0]);            \
             return 1;                                                \
-        benchmark::RunSpecifiedBenchmarks();                         \
-        benchmark::Shutdown();                                       \
+        }                                                            \
+        reproduce_fn();                                              \
         return 0;                                                    \
     }
 

@@ -136,24 +136,6 @@ reproduce()
         "savings at\nany K with no routing help at all.\n");
 }
 
-void
-BM_FleetRun(benchmark::State &state)
-{
-    const auto profile = workload::WorkloadProfile::memcached();
-    const auto k = static_cast<unsigned>(state.range(0));
-    for (auto _ : state) {
-        FleetConfig fc;
-        fc.servers = k;
-        fc.server = server::ServerConfig::awC6aOnly();
-        fc.server.idlePromotion = true;
-        fc.routing = "pack-first";
-        FleetSim fleet(fc, profile, 50e3 * k);
-        benchmark::DoNotOptimize(
-            fleet.run(sim::fromMs(50.0), sim::fromMs(5.0)));
-    }
-}
-BENCHMARK(BM_FleetRun)->Arg(2)->Arg(8)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 AW_BENCH_MAIN(reproduce)

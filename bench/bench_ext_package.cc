@@ -58,20 +58,6 @@ reproduce()
                 "package level).\n");
 }
 
-void
-BM_PackageUpdate(benchmark::State &state)
-{
-    PackageCStateModel pkg;
-    sim::Tick now = 0;
-    bool deep = false;
-    for (auto _ : state) {
-        now += sim::fromUs(10.0);
-        deep = !deep;
-        benchmark::DoNotOptimize(pkg.update(now, deep, deep));
-    }
-}
-BENCHMARK(BM_PackageUpdate);
-
 } // namespace
 
 AW_BENCH_MAIN(reproduce)

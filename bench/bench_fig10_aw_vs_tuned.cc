@@ -64,19 +64,6 @@ reproduce()
                 100 * avg_power_red[2], tuned[2].name.c_str());
 }
 
-void
-BM_AwSweepPoint(benchmark::State &state)
-{
-    const auto profile = workload::WorkloadProfile::memcached();
-    for (auto _ : state) {
-        server::ServerSim srv(
-            server::ServerConfig::ntAwNoC6NoC1e(), profile, 100e3);
-        benchmark::DoNotOptimize(
-            srv.run(sim::fromMs(100.0), sim::fromMs(10.0)));
-    }
-}
-BENCHMARK(BM_AwSweepPoint)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 AW_BENCH_MAIN(reproduce)

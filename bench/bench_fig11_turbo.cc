@@ -96,20 +96,6 @@ reproduce()
                 nt_aw, t_aw, 100 * (t_aw / nt_aw - 1.0));
 }
 
-void
-BM_TurboDecision(benchmark::State &state)
-{
-    server::TurboModel turbo;
-    turbo.setPower(0, 0.3);
-    sim::Tick now = 0;
-    for (auto _ : state) {
-        now += sim::fromUs(10.0);
-        benchmark::DoNotOptimize(
-            turbo.canBoost(now, sim::fromUs(8.0)));
-    }
-}
-BENCHMARK(BM_TurboDecision);
-
 } // namespace
 
 AW_BENCH_MAIN(reproduce)

@@ -101,19 +101,6 @@ reproduce()
                 "rates\n");
 }
 
-void
-BM_KafkaPoint(benchmark::State &state)
-{
-    const auto profile = workload::WorkloadProfile::kafka();
-    for (auto _ : state) {
-        server::ServerSim srv(server::ServerConfig::legacyC1C6(),
-                              profile, profile.rateLevels()[0]);
-        benchmark::DoNotOptimize(
-            srv.run(sim::fromSec(1.0), sim::fromMs(100.0)));
-    }
-}
-BENCHMARK(BM_KafkaPoint)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 AW_BENCH_MAIN(reproduce)

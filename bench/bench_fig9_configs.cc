@@ -109,19 +109,6 @@ reproduce()
                 "moves to C1 at 1.44 W, ~63%% above C1E).\n");
 }
 
-void
-BM_TunedConfigPoint(benchmark::State &state)
-{
-    const auto profile = workload::WorkloadProfile::memcached();
-    for (auto _ : state) {
-        server::ServerSim srv(server::ServerConfig::ntNoC6(),
-                              profile, 200e3);
-        benchmark::DoNotOptimize(
-            srv.run(sim::fromMs(100.0), sim::fromMs(10.0)));
-    }
-}
-BENCHMARK(BM_TunedConfigPoint)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 AW_BENCH_MAIN(reproduce)

@@ -79,20 +79,6 @@ reproduce()
                 "the caches wake only for the probe window.\n");
 }
 
-void
-BM_SnoopServiceWindow(benchmark::State &state)
-{
-    core::AwCoreModel model;
-    const auto freq = sim::Frequency::ghz(2.2);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            model.caches().snoopServiceTime(freq, true));
-        benchmark::DoNotOptimize(
-            model.controller().snoopWakeLatency());
-    }
-}
-BENCHMARK(BM_SnoopServiceWindow);
-
 } // namespace
 
 AW_BENCH_MAIN(reproduce)

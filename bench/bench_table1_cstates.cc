@@ -82,34 +82,6 @@ reproduce()
                     kC0PowerP1);
 }
 
-void
-BM_TransitionLatencyQuery(benchmark::State &state)
-{
-    core::AwCoreModel model;
-    const auto engine = model.makeTransitionEngine();
-    const auto freq = sim::Frequency::ghz(2.2);
-    for (auto _ : state) {
-        for (const auto id :
-             {CStateId::C1, CStateId::C1E, CStateId::C6A,
-              CStateId::C6AE, CStateId::C6}) {
-            benchmark::DoNotOptimize(engine.latency(id, freq));
-        }
-    }
-}
-BENCHMARK(BM_TransitionLatencyQuery);
-
-void
-BM_DescriptorLookup(benchmark::State &state)
-{
-    for (auto _ : state) {
-        for (std::size_t i = 0; i < kNumCStates; ++i) {
-            benchmark::DoNotOptimize(
-                descriptor(static_cast<CStateId>(i)));
-        }
-    }
-}
-BENCHMARK(BM_DescriptorLookup);
-
 } // namespace
 
 AW_BENCH_MAIN(reproduce)

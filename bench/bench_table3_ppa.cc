@@ -45,29 +45,6 @@ reproduce()
                 ppa.c6aPowerMid(), ppa.c6aePowerMid());
 }
 
-void
-BM_PpaRollup(benchmark::State &state)
-{
-    core::AwCoreModel model;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(model.ppa().totalPowerC6a());
-        benchmark::DoNotOptimize(model.ppa().totalPowerC6ae());
-        benchmark::DoNotOptimize(
-            model.ppa().totalAreaFractionOfCore());
-    }
-}
-BENCHMARK(BM_PpaRollup);
-
-void
-BM_AwCoreModelConstruction(benchmark::State &state)
-{
-    for (auto _ : state) {
-        core::AwCoreModel model;
-        benchmark::DoNotOptimize(&model);
-    }
-}
-BENCHMARK(BM_AwCoreModelConstruction);
-
 } // namespace
 
 AW_BENCH_MAIN(reproduce)

@@ -46,15 +46,6 @@ reproduce()
                 "grow proportionally with PUE.\n");
 }
 
-void
-BM_YearlySavings(benchmark::State &state)
-{
-    const analysis::CostModel cost;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(cost.yearlySavingsUsd(20.0, 10.0));
-}
-BENCHMARK(BM_YearlySavings);
-
 } // namespace
 
 AW_BENCH_MAIN(reproduce)

@@ -50,20 +50,6 @@ reproduce()
                 "SPECpower / Nginx / Spark / Hive\n");
 }
 
-void
-BM_ValidatePoint(benchmark::State &state)
-{
-    core::AwCoreModel aw_model;
-    const analysis::CStatePowerModel model(
-        server::StatePowers::fromModels(aw_model.ppa()));
-    server::ServerSim srv(server::ServerConfig::ntBaseline(),
-                          workload::WorkloadProfile::nginx(), 40e3);
-    const auto run = srv.run(sim::fromMs(200.0), sim::fromMs(20.0));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(analysis::validateRun(model, run));
-}
-BENCHMARK(BM_ValidatePoint);
-
 } // namespace
 
 AW_BENCH_MAIN(reproduce)

@@ -386,7 +386,11 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
     // identically regardless of its derived seed -- so one idle
     // reference run stands in for all of them. At warehouse scale
     // under pack-first almost the whole fleet is never-routed, and
-    // the K-server point costs O(busy servers), not O(K).
+    // the K-server point costs O(busy servers), not O(K). Snoop
+    // traffic breaks the premise: each core's snoop stream is
+    // seeded from its server's seed, so idle servers differ.
+    const bool reuse_idle =
+        _cfg.idleFastPath && _cfg.server.snoopRatePerSec <= 0.0;
     std::size_t idle_ref = K; // index of the reference, if any
     std::vector<bool> reuse_ref(K, false);
     std::vector<unsigned> to_run;
@@ -394,12 +398,11 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
     for (unsigned i = 0; i < K; ++i) {
         if (lb.gaps[i].empty())
             ++fr.neverRouted;
-        if (_cfg.idleFastPath && lb.gaps[i].empty() &&
-            idle_ref < K) {
+        if (reuse_idle && lb.gaps[i].empty() && idle_ref < K) {
             reuse_ref[i] = true;
             continue;
         }
-        if (_cfg.idleFastPath && lb.gaps[i].empty())
+        if (reuse_idle && lb.gaps[i].empty())
             idle_ref = i;
         to_run.push_back(i);
     }

@@ -112,8 +112,10 @@ struct FleetConfig
      *  server. Bit-identical to simulating each one, because an
      *  idle server's evolution is seed-independent: its arrival
      *  stream is a single never-firing gap and no per-server RNG is
-     *  ever drawn (tests pin the identity). Disable to force
-     *  event-by-event simulation of every server. */
+     *  ever drawn (tests pin the identity). Fleets with snoop
+     *  traffic (server.snoopRatePerSec > 0) never take it: each
+     *  server's snoop stream is seeded from its own seed. Disable
+     *  to force event-by-event simulation of every server. */
     bool idleFastPath = true;
 };
 

@@ -15,16 +15,4 @@ SramSleepMode::sleepPowerAtSetting(unsigned setting, bool at_pn) const
     return base * (1.0 + 0.12 * static_cast<double>(setting));
 }
 
-SramSleepMode
-SramSleepMode::fromReference(Watts ref_power, double ref_bytes,
-                             double target_bytes, LeakageScaling scaling,
-                             double pn_over_p1)
-{
-    if (ref_bytes <= 0.0 || target_bytes <= 0.0)
-        sim::panic("SramSleepMode::fromReference: bad capacities");
-    const Watts p1 = scaling.scale(
-        scaleSramLeakageByCapacity(ref_power, ref_bytes, target_bytes));
-    return SramSleepMode(target_bytes, p1, p1 * pn_over_p1);
-}
-
 } // namespace aw::power

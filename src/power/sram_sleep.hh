@@ -16,7 +16,6 @@
 
 #include <cstdint>
 
-#include "power/tech.hh"
 #include "power/units.hh"
 #include "sim/types.hh"
 
@@ -100,22 +99,6 @@ class SramSleepMode
      *  (same range as power gates; a recent implementation reports
      *  2%). */
     static constexpr Interval kAreaOverhead{0.02, 0.06};
-
-    /**
-     * Derive the sleep power anchors from a reference silicon data
-     * point by capacity and technology scaling (the paper's own
-     * derivation path: 2.5 MB @ 22 nm -> 1.1 MB @ 14 nm).
-     *
-     * @param ref_power       sleep power of the reference array
-     * @param ref_bytes       reference capacity
-     * @param target_bytes    target capacity
-     * @param scaling         node scaling (alpha*beta)
-     * @param pn_over_p1      ratio of Pn-voltage to P1-voltage sleep
-     *                        power (from LVR efficiency; ~40/55)
-     */
-    static SramSleepMode
-    fromReference(Watts ref_power, double ref_bytes, double target_bytes,
-                  LeakageScaling scaling, double pn_over_p1);
 
   private:
     double _bytes;

@@ -8,8 +8,6 @@ namespace aw::sim {
 
 namespace {
 
-bool quietFlag = false;
-
 void
 emit(const char *tag, const std::string &msg)
 {
@@ -67,37 +65,11 @@ fatal(const char *fmt, ...)
 void
 warn(const char *fmt, ...)
 {
-    if (quietFlag)
-        return;
     va_list args;
     va_start(args, fmt);
     std::string s = vstrprintf(fmt, args);
     va_end(args);
     emit("warn", s);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (quietFlag)
-        return;
-    va_list args;
-    va_start(args, fmt);
-    std::string s = vstrprintf(fmt, args);
-    va_end(args);
-    emit("info", s);
-}
-
-void
-setQuiet(bool q)
-{
-    quietFlag = q;
-}
-
-bool
-quiet()
-{
-    return quietFlag;
 }
 
 } // namespace aw::sim

@@ -7,7 +7,6 @@
  * - fatal():  the simulation cannot continue due to a user error
  *             (bad configuration, invalid argument); exits cleanly.
  * - warn():   something is suspicious but the run continues.
- * - inform(): status messages.
  *
  * All functions take printf-style format strings. strprintf() is the
  * underlying printf-into-std::string helper, exposed for reuse.
@@ -38,15 +37,6 @@ std::string vstrprintf(const char *fmt, va_list args);
 
 /** Report a suspicious condition; the run continues. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Report an informational message. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Globally silence warn()/inform() (tests use this). */
-void setQuiet(bool quiet);
-
-/** @return true if warn()/inform() are currently silenced. */
-bool quiet();
 
 } // namespace aw::sim
 

@@ -136,6 +136,13 @@ struct BadFlag
 {
     const char *args;
     const char *needle;
+
+    /** Print the flags, not the pointers, so the test's name is the
+     *  same in every build. */
+    friend void PrintTo(const BadFlag &f, std::ostream *os)
+    {
+        *os << f.args;
+    }
 };
 
 class AwsimToolRejects : public ::testing::TestWithParam<BadFlag>

@@ -103,6 +103,13 @@ struct BadFlag
 {
     const char *args;
     const char *needle;
+
+    /** Print the flags, not the pointers, so the test's name is the
+     *  same in every build. */
+    friend void PrintTo(const BadFlag &f, std::ostream *os)
+    {
+        *os << f.args;
+    }
 };
 
 class AwsweepToolRejects : public ::testing::TestWithParam<BadFlag>

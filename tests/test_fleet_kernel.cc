@@ -137,17 +137,23 @@ TEST(FleetKernel, IdleFastPathIsBitIdentical)
     // The memoization contract: reusing one idle reference run for
     // every never-routed server must reproduce the
     // simulate-everything reference bit for bit, events included.
-    auto once = [](bool fast_path) {
-        auto fc = kernelFleet("pack-first", 24);
-        fc.idleFastPath = fast_path;
-        FleetSim fleet(fc, workload::WorkloadProfile::memcached(),
-                       5e3);
-        return fleet.run(sim::fromMs(80.0), sim::fromMs(8.0));
-    };
-    const auto fast = once(true);
-    const auto reference = once(false);
-    EXPECT_GT(fast.neverRouted, 0u); // the path actually engaged
-    expectSameRun(fast, reference);
+    // Snoop traffic is seeded per server, so an idle server with
+    // snoops is not a copy of another one.
+    for (const double snoops : {0.0, 20000.0}) {
+        SCOPED_TRACE(snoops);
+        auto once = [snoops](bool fast_path) {
+            auto fc = kernelFleet("pack-first", 24);
+            fc.server.snoopRatePerSec = snoops;
+            fc.idleFastPath = fast_path;
+            FleetSim fleet(fc, workload::WorkloadProfile::memcached(),
+                           5e3);
+            return fleet.run(sim::fromMs(80.0), sim::fromMs(8.0));
+        };
+        const auto fast = once(true);
+        const auto reference = once(false);
+        EXPECT_GT(fast.neverRouted, 0u); // idle servers exist
+        expectSameRun(fast, reference);
+    }
 }
 
 TEST(FleetKernel, EpochBoundaryOnRoutingDecisionIsInvisible)

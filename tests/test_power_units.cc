@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "power/units.hh"
-#include "power/tech.hh"
 
 namespace {
 
@@ -91,45 +90,6 @@ TEST(Format, PercentRange)
 {
     EXPECT_EQ(formatPercent(Interval(0.02, 0.06)), "2-6%");
     EXPECT_EQ(formatPercent(Interval::point(0.7)), "70%");
-}
-
-TEST(Tech, PaperScalingFactor)
-{
-    const auto s = LeakageScaling::paper22To14();
-    EXPECT_DOUBLE_EQ(s.alpha(), 0.7);
-    EXPECT_DOUBLE_EQ(s.beta(), 1.0);
-    EXPECT_DOUBLE_EQ(s.factor(), 0.7);
-    EXPECT_DOUBLE_EQ(s.scale(1.0), 0.7);
-}
-
-TEST(Tech, BetweenNodes)
-{
-    const auto s = LeakageScaling::between(TechnologyNode::xeon22(),
-                                           TechnologyNode::skylake14());
-    EXPECT_NEAR(s.alpha(), 14.0 / 22.0, 1e-12);
-}
-
-TEST(Tech, VoltageScalingMultiplies)
-{
-    const LeakageScaling s(0.7, 0.8);
-    EXPECT_DOUBLE_EQ(s.factor(), 0.56);
-}
-
-TEST(Tech, SramCapacityScaling)
-{
-    // 2.5 MB reference at some power; 1.1 MB target scales linearly.
-    const Watts ref = 0.28;
-    const Watts scaled = scaleSramLeakageByCapacity(
-        ref, 2.5 * 1024 * 1024, 1.1 * 1024 * 1024);
-    EXPECT_NEAR(scaled, ref * 1.1 / 2.5, 1e-12);
-}
-
-TEST(Tech, IntervalScaling)
-{
-    const auto s = LeakageScaling::paper22To14();
-    const auto r = s.scale(Interval(1.0, 2.0));
-    EXPECT_DOUBLE_EQ(r.lo, 0.7);
-    EXPECT_DOUBLE_EQ(r.hi, 1.4);
 }
 
 } // namespace

@@ -24,7 +24,6 @@
 #include "exp/runner.hh"
 #include "exp/spec.hh"
 #include "server/server_sim.hh"
-#include "sim/logging.hh"
 #include "sim/stats.hh"
 #include "workload/profiles.hh"
 
@@ -88,12 +87,9 @@ TEST(RequestTracer, OverflowedRingIsFlaggedInCsvAndOnStderr)
     t.onMeasurementEnd(20000);
     ASSERT_EQ(t.series().dropped, 6u);
 
-    const bool was_quiet = sim::quiet();
-    sim::setQuiet(false);
     testing::internal::CaptureStderr();
     const std::string csv = traceCsv(t.series());
     const std::string err = testing::internal::GetCapturedStderr();
-    sim::setQuiet(was_quiet);
 
     EXPECT_NE(csv.find("# emitted 10 dropped 6 (ring overflow"),
               std::string::npos)

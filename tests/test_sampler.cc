@@ -15,7 +15,6 @@
 #include "exp/runner.hh"
 #include "exp/spec.hh"
 #include "server/server_sim.hh"
-#include "sim/logging.hh"
 #include "workload/profiles.hh"
 
 namespace {
@@ -334,12 +333,9 @@ TEST(Sampler, OverflowedRingIsFlaggedInCsvAndOnStderr)
     rec.onMeasurementEnd(10 * kIv);
     ASSERT_EQ(rec.series().dropped, 6u);
 
-    const bool was_quiet = sim::quiet();
-    sim::setQuiet(false);
     testing::internal::CaptureStderr();
     const std::string csv = timelineCsv(rec.series());
     const std::string err = testing::internal::GetCapturedStderr();
-    sim::setQuiet(was_quiet);
 
     EXPECT_NE(csv.find("# emitted 10 dropped 6 (ring overflow"),
               std::string::npos)
@@ -378,12 +374,9 @@ TEST(Sampler, SweepTimelineOverflowIsFlaggedPerPoint)
     ASSERT_TRUE(result.points[0].timeline.has_value());
     ASSERT_GT(result.points[0].timeline->dropped, 0u);
 
-    const bool was_quiet = sim::quiet();
-    sim::setQuiet(false);
     testing::internal::CaptureStderr();
     const std::string csv = exp::toTimelineCsv(result);
     const std::string err = testing::internal::GetCapturedStderr();
-    sim::setQuiet(was_quiet);
 
     EXPECT_NE(csv.find("# point 0 emitted "), std::string::npos)
         << csv.substr(0, 400);

@@ -52,27 +52,6 @@ TEST(SramSleep, LvrEfficiencyIsVoltageRatio)
     EXPECT_DOUBLE_EQ(SramSleepMode::lvrEfficiency(0.5, 0.0), 0.0);
 }
 
-TEST(SramSleep, FromReferenceReproducesPaperDerivation)
-{
-    // Paper derivation: 2.5 MB 22 nm slice -> 1.1 MB 14 nm arrays.
-    // Pick the reference power so the result lands at 55 mW:
-    // ref * (1.1/2.5) * 0.7 = 55 mW  =>  ref ~ 178.6 mW.
-    const Watts ref = milliwatts(55.0) / (1.1 / 2.5) / 0.7;
-    const auto sleep = SramSleepMode::fromReference(
-        ref, 2.5 * 1024 * 1024, 1.1 * 1024 * 1024,
-        LeakageScaling::paper22To14(), 40.0 / 55.0);
-    EXPECT_NEAR(asMilliwatts(sleep.sleepPowerAtP1()), 55.0, 0.01);
-    EXPECT_NEAR(asMilliwatts(sleep.sleepPowerAtPn()), 40.0, 0.01);
-}
-
-TEST(SramSleepDeathTest, FromReferenceRejectsBadCapacity)
-{
-    EXPECT_DEATH(SramSleepMode::fromReference(
-                     0.1, 0.0, 1.0, LeakageScaling::paper22To14(),
-                     0.7),
-                 "capacit");
-}
-
 TEST(SramSleep, TransitionCycleCounts)
 {
     EXPECT_EQ(SramSleepMode::kEntryCycles, 3u);
