@@ -4,6 +4,7 @@
 #include <cmath>
 #include <queue>
 #include <set>
+#include <span>
 
 #include "cap/powercap.hh"
 #include "cstate/governors.hh"
@@ -129,13 +130,13 @@ using InFlightHeap =
                         std::greater<InFlight>>;
 
 /** Results of one per-server run, written into its pre-assigned
- *  slot by whichever worker executed it. */
+ *  slot by whichever worker executed it. Telemetry series live in
+ *  side vectors sized only when telemetry is on: a TimelineSeries
+ *  is ~19.5 KB, which K slots would pay even with it off. */
 struct ServerSlot
 {
     server::RunResult result;
-    std::optional<analysis::TimelineSeries> timeline;
-    std::optional<analysis::TraceSeries> trace;
-    sim::PercentileTracker latency;
+    std::vector<double> latency; //!< sorted ascending
 };
 
 } // namespace
@@ -235,15 +236,16 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
     const unsigned K = _cfg.servers;
 
     // ------------------------------------------------- balancer pass
-    // Split the offered stream into per-server gap sequences. The
-    // balancer keeps an occupancy estimate per server: each routed
-    // request holds its server for one drawn service time, the same
-    // outstanding-work signal real L7 balancers route on. The
-    // estimate lives entirely on the balancer side (it never reads
-    // live server state), which is what makes the per-server phase
-    // below embarrassingly parallel.
+    // Split the offered stream into per-server gap sequences. For
+    // policies that read occupancy, the balancer keeps an estimate
+    // per server: each routed request holds its server for one drawn
+    // service time, the same outstanding-work signal real L7
+    // balancers route on. The estimate lives entirely on the
+    // balancer side (it never reads live server state), which is
+    // what makes the per-server phase below embarrassingly parallel.
     auto offered = makeOfferedStream();
     auto policy = makeRoutingPolicy(_cfg.routing, packCapacity());
+    const bool keep_estimate = policy->readsOccupancy();
     sim::Rng lb_rng(sim::deriveSeed(_cfg.seed, K));
     sim::Rng est_rng(sim::deriveSeed(_cfg.seed, K + 1));
 
@@ -362,6 +364,11 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
             ++decisions_emitted;
         }
 
+        // Occupancy-blind policies never read the estimate, so it is
+        // not kept for them. est_rng is a stream of its own: skipping
+        // its draws moves no routing decision.
+        if (!keep_estimate)
+            continue;
         const sim::Tick estimate =
             _profile.service().draw(est_rng).duration(
                 _profile.service().referenceFrequency());
@@ -408,6 +415,12 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
     }
 
     std::vector<ServerSlot> slots(K);
+    std::vector<analysis::TimelineSeries> timelines;
+    if (_timeline)
+        timelines.resize(K);
+    std::vector<analysis::TraceSeries> traces;
+    if (_requestTrace)
+        traces.resize(K);
     const auto runServer = [&](unsigned i) {
         server::ServerConfig scfg = _cfg.server;
         scfg.seed = sim::deriveSeed(_cfg.seed, i);
@@ -446,10 +459,10 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
         ServerSlot &slot = slots[i];
         slot.result = srv.run(duration, warmup);
         if (recorder)
-            slot.timeline = recorder->series();
+            timelines[i] = recorder->series();
         if (tracer)
-            slot.trace = tracer->series();
-        slot.latency = srv.latencySamples();
+            traces[i] = tracer->series();
+        slot.latency = srv.latencySamples().sortedSamples();
     };
 
     const unsigned workers = std::min<std::size_t>(
@@ -467,28 +480,25 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
             pool.submit([&runServer, i] { runServer(i); });
         pool.wait();
     }
-    for (unsigned i = 0; i < K; ++i)
-        if (reuse_ref[i])
-            slots[i] = slots[idle_ref];
+    for (unsigned i = 0; i < K; ++i) {
+        if (!reuse_ref[i])
+            continue;
+        slots[i] = slots[idle_ref];
+        if (_timeline)
+            timelines[i] = timelines[idle_ref];
+        if (_requestTrace)
+            traces[i] = traces[idle_ref];
+    }
 
     // Aggregate in strict server-index order: the floating-point op
     // sequence (and thus every emitted byte) is independent of how
     // the runs were scheduled.
-    sim::PercentileTracker pooled;
-    std::vector<analysis::TimelineSeries> timelines;
-    if (_timeline)
-        timelines.reserve(K);
-    std::vector<analysis::TraceSeries> traces;
-    if (_requestTrace)
-        traces.reserve(K);
+    std::vector<std::span<const double>> latency_runs;
+    latency_runs.reserve(K);
+    fr.perServer.reserve(K);
     for (unsigned i = 0; i < K; ++i) {
-        ServerSlot &slot = slots[i];
-        server::RunResult &r = slot.result;
-        if (slot.timeline)
-            timelines.push_back(std::move(*slot.timeline));
-        if (slot.trace)
-            traces.push_back(std::move(*slot.trace));
-        pooled.merge(slot.latency);
+        server::RunResult &r = slots[i].result;
+        latency_runs.emplace_back(slots[i].latency);
 
         fr.window = r.window;
         fr.requests += r.requests;
@@ -539,11 +549,16 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
     fr.energyPerRequestMj =
         fr.requests > 0 ? 1e3 * fr.fleetEnergy / fr.requests : 0.0;
     fr.deepIdleShare = deepIdleShare(fr.residency);
-    if (!pooled.empty()) {
-        fr.avgLatencyUs = pooled.mean();
-        fr.p99LatencyUs = pooled.p99();
-        fr.p999LatencyUs = pooled.p999();
-    }
+    // Pooled latency without a pooled copy: the mean sums each
+    // server's sorted samples in server-index order (the operation
+    // sequence the bits were pinned with), and the tail percentiles
+    // are rank selections over the K sorted runs.
+    fr.avgLatencyUs = sim::meanOfRuns(latency_runs);
+    const double tail_ps[] = {99.0, 99.9};
+    const auto tail =
+        sim::percentilesOfSortedRuns(latency_runs, tail_ps);
+    fr.p99LatencyUs = tail[0];
+    fr.p999LatencyUs = tail[1];
     if (total_routed > 0) {
         const auto busiest = *std::max_element(lb.routed.begin(),
                                                lb.routed.end());

@@ -14,11 +14,15 @@
  * residency a fleet can harvest, and the C-state configuration
  * decides what that residency is worth.
  *
- * The load balancer tracks per-server outstanding work with an
- * LB-side estimate (each routed request occupies its server for one
- * drawn service time), which is what feedback policies like
- * least-outstanding and pack-first key off -- mirroring the
- * connection-count estimates real L7 balancers route on.
+ * For policies that read occupancy (RoutingPolicy::readsOccupancy():
+ * least-outstanding, pack-first, route-to-headroom) the load
+ * balancer tracks per-server outstanding work with an LB-side
+ * estimate (each routed request occupies its server for one drawn
+ * service time), mirroring the connection-count estimates real L7
+ * balancers route on. Occupancy-blind policies (round-robin,
+ * random) route without one, and the balancer keeps none for them:
+ * the estimate draws from a stream of its own, so skipping it moves
+ * no routing decision.
  */
 
 #ifndef AW_CLUSTER_FLEET_HH

@@ -74,6 +74,16 @@ class RoutingPolicy
     /** Choose a server index in [0, view.servers()). */
     virtual std::size_t route(const FleetView &view,
                               sim::Rng &rng) = 0;
+
+    /**
+     * Whether route() reads the view's occupancy estimate
+     * (outstanding(), firstUnderCapacity(), headroomWatts()). The
+     * fleet balancer keeps that estimate -- one service-time draw
+     * and one in-flight heap entry per routed request -- only for
+     * policies that read it. A policy that reports false may call
+     * nothing on the view but servers().
+     */
+    virtual bool readsOccupancy() const { return true; }
 };
 
 /** Cycle through the servers in index order. */
@@ -82,6 +92,7 @@ class RoundRobinRouting : public RoutingPolicy
   public:
     const char *name() const override { return "round-robin"; }
     std::size_t route(const FleetView &view, sim::Rng &rng) override;
+    bool readsOccupancy() const override { return false; }
 
   private:
     std::size_t _next = 0;
@@ -93,6 +104,7 @@ class RandomRouting : public RoutingPolicy
   public:
     const char *name() const override { return "random"; }
     std::size_t route(const FleetView &view, sim::Rng &rng) override;
+    bool readsOccupancy() const override { return false; }
 };
 
 /** Fewest outstanding requests; ties break to the lowest index. */

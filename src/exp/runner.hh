@@ -98,20 +98,23 @@ struct SweepResult
      *  artifacts, which must be schedule-independent). */
     double wallSeconds = 0.0;
 
-    /** Coordinate filter for lookups; unset fields match any. */
+    /** Coordinate filter for lookups; unset fields match any. The
+     *  default member initializers let a designated initializer
+     *  name only the axes it filters on without tripping
+     *  -Wmissing-field-initializers. */
     struct Query
     {
-        std::optional<std::string> workload;
-        std::optional<std::string> config;
-        std::optional<std::string> governor;
-        std::optional<std::string> freqPolicy;
-        std::optional<double> sloUs;
-        std::optional<double> capWatts;
-        std::optional<std::string> policy;
-        std::optional<std::string> variant;
-        std::optional<unsigned> servers;
-        std::optional<double> qps;
-        std::optional<unsigned> replica;
+        std::optional<std::string> workload{};
+        std::optional<std::string> config{};
+        std::optional<std::string> governor{};
+        std::optional<std::string> freqPolicy{};
+        std::optional<double> sloUs{};
+        std::optional<double> capWatts{};
+        std::optional<std::string> policy{};
+        std::optional<std::string> variant{};
+        std::optional<unsigned> servers{};
+        std::optional<double> qps{};
+        std::optional<unsigned> replica{};
 
         bool matches(const GridPoint &pt) const;
     };

@@ -135,7 +135,8 @@ class ServerSim
     }
 
     /** Per-request latency samples of the last measured window;
-     *  fleet aggregation pools these for exact global percentiles. */
+     *  fleet aggregation takes exact global percentiles over every
+     *  server's sorted samples. */
     const sim::PercentileTracker &latencySamples() const
     {
         return _latency;

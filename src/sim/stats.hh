@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -118,6 +119,10 @@ class PercentileTracker
 
     double mean() const;
 
+    /** The samples in ascending order, sorted in place on first use
+     *  (percentile() reads the same sorted storage). */
+    const std::vector<double> &sortedSamples() const;
+
     /** Append every sample of @p other; lets aggregators pool
      *  per-component trackers into exact global percentiles. */
     void
@@ -139,6 +144,28 @@ class PercentileTracker
     mutable std::vector<double> _samples;
     mutable bool _sorted = false;
 };
+
+/**
+ * Nearest-rank percentiles of the union of @p runs, each sorted
+ * ascending, without pooling them: the result equals
+ * PercentileTracker::percentile(ps[i]) over the concatenated runs,
+ * bit for bit. The selection walks a descending K-way heap merge of
+ * the runs' tails and stops at the deepest requested rank, so the
+ * tail percentiles a fleet reports cost O((N - rank + 1) log K)
+ * instead of an N-sample copy and sort. Every p must lie in
+ * [0, 100]; an empty union reports 0.0 for every p.
+ */
+std::vector<double>
+percentilesOfSortedRuns(std::span<const std::span<const double>> runs,
+                        std::span<const double> ps);
+
+/**
+ * Mean of the concatenated @p runs, summed run by run in order and
+ * each run in storage order into one running double: the exact
+ * operation sequence of PercentileTracker::mean() over the
+ * concatenation. 0.0 when every run is empty.
+ */
+double meanOfRuns(std::span<const std::span<const double>> runs);
 
 /**
  * Time-weighted fraction tracker: accumulates durations attributed to

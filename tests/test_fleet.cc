@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <string>
 
 #include "analysis/power_model.hh"
 #include "cluster/diurnal.hh"
@@ -36,6 +38,37 @@ class FakeView : public FleetView
     }
 
     std::vector<unsigned> _counts;
+};
+
+/** FleetView that counts every read of the occupancy estimate; the
+ *  balancer keeps no estimate for policies that report
+ *  readsOccupancy() == false. */
+class OccupancySpy : public FleetView
+{
+  public:
+    explicit OccupancySpy(std::size_t servers) : _servers(servers) {}
+
+    std::size_t servers() const override { return _servers; }
+    unsigned outstanding(std::size_t) const override
+    {
+        ++reads;
+        return 0;
+    }
+    std::size_t firstUnderCapacity(unsigned) const override
+    {
+        ++reads;
+        return 0;
+    }
+    double headroomWatts(std::size_t) const override
+    {
+        ++reads;
+        return 0.0;
+    }
+
+    mutable std::uint64_t reads = 0;
+
+  private:
+    std::size_t _servers;
 };
 
 // ---------------------------------------------------------- routing
@@ -109,6 +142,40 @@ TEST(Routing, PackFirstFillsThenSpills)
     EXPECT_EQ(pack.route(view, rng), 2u);
     view._counts = {2, 3, 2};
     EXPECT_EQ(pack.route(view, rng), 0u); // all full: least loaded
+}
+
+TEST(Routing, ReadsOccupancyIsPinnedPerPolicy)
+{
+    const std::map<std::string, bool> expected{
+        {"round-robin", false},      {"random", false},
+        {"least-outstanding", true}, {"pack-first", true},
+        {"route-to-headroom", true},
+    };
+    ASSERT_EQ(routingPolicyNames().size(), expected.size());
+    for (const auto &name : routingPolicyNames())
+        EXPECT_EQ(makeRoutingPolicy(name, 4)->readsOccupancy(),
+                  expected.at(name))
+            << name;
+}
+
+TEST(Routing, OccupancyBlindPoliciesNeverReadTheView)
+{
+    // The balancer skips the occupancy estimate for a policy that
+    // reports readsOccupancy() == false, so such a policy must route
+    // on nothing but the server count. Policies that read occupancy
+    // do touch the spy, which shows it would catch a read.
+    for (const auto &name : routingPolicyNames()) {
+        SCOPED_TRACE(name);
+        auto policy = makeRoutingPolicy(name, 4);
+        OccupancySpy spy(16);
+        sim::Rng rng(11);
+        for (int i = 0; i < 10000; ++i)
+            ASSERT_LT(policy->route(spy, rng), 16u);
+        if (policy->readsOccupancy())
+            EXPECT_GT(spy.reads, 0u);
+        else
+            EXPECT_EQ(spy.reads, 0u);
+    }
 }
 
 // ---------------------------------------------------------- diurnal

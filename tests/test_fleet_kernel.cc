@@ -136,23 +136,45 @@ TEST(FleetKernel, IdleFastPathIsBitIdentical)
 {
     // The memoization contract: reusing one idle reference run for
     // every never-routed server must reproduce the
-    // simulate-everything reference bit for bit, events included.
-    // Snoop traffic is seeded per server, so an idle server with
-    // snoops is not a copy of another one.
+    // simulate-everything reference bit for bit, events included,
+    // and so must the idle copies of its timeline and trace: the
+    // folded timeline and the merged trace are the same bytes, at
+    // one and at several fleet threads. Snoop traffic is seeded per
+    // server, so an idle server with snoops is not a copy of another
+    // one.
     for (const double snoops : {0.0, 20000.0}) {
         SCOPED_TRACE(snoops);
-        auto once = [snoops](bool fast_path) {
+        auto once = [snoops](bool fast_path, unsigned threads) {
             auto fc = kernelFleet("pack-first", 24);
             fc.server.snoopRatePerSec = snoops;
             fc.idleFastPath = fast_path;
+            fc.fleetThreads = threads;
             FleetSim fleet(fc, workload::WorkloadProfile::memcached(),
                            5e3);
+            analysis::TimelineConfig timeline;
+            timeline.intervalSeconds = 0.01;
+            fleet.enableTimeline(timeline);
+            fleet.enableRequestTrace(analysis::TraceConfig{});
             return fleet.run(sim::fromMs(80.0), sim::fromMs(8.0));
         };
-        const auto fast = once(true);
-        const auto reference = once(false);
-        EXPECT_GT(fast.neverRouted, 0u); // idle servers exist
-        expectSameRun(fast, reference);
+        const auto reference = once(false, 1);
+        ASSERT_TRUE(reference.timeline && reference.trace);
+        EXPECT_FALSE(reference.trace->spans.empty());
+        for (const unsigned threads : {1u, 4u}) {
+            SCOPED_TRACE(threads);
+            const auto fast = once(true, threads);
+            EXPECT_GT(fast.neverRouted, 0u); // idle servers exist
+            expectSameRun(fast, reference);
+            ASSERT_TRUE(fast.timeline && fast.trace);
+            EXPECT_EQ(analysis::timelineCsv(*fast.timeline),
+                      analysis::timelineCsv(*reference.timeline));
+            EXPECT_EQ(analysis::traceCsv(*fast.trace),
+                      analysis::traceCsv(*reference.trace));
+            EXPECT_EQ(fast.trace->wakesEmitted,
+                      reference.trace->wakesEmitted);
+            EXPECT_EQ(fast.trace->routing.size(),
+                      reference.trace->routing.size());
+        }
     }
 }
 

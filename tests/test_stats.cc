@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "sim/random.hh"
@@ -221,6 +222,104 @@ TEST(PercentileProperty, MergedTrackersEqualPooledSamples)
             EXPECT_DOUBLE_EQ(a.percentile(p), pooled.percentile(p))
                 << "na=" << na << " nb=" << nb << " p=" << p;
     }
+}
+
+TEST(Percentile, SortedSamplesAreAscending)
+{
+    PercentileTracker t;
+    for (const double x : {5.0, 1.0, 4.0, 1.0, 3.0})
+        t.add(x);
+    EXPECT_EQ(t.sortedSamples(),
+              (std::vector<double>{1.0, 1.0, 3.0, 4.0, 5.0}));
+    EXPECT_DOUBLE_EQ(t.p50(), 3.0);
+}
+
+/** Test-local reference for pooled runs: the concatenation in run
+ *  order, as pooling every run into one tracker would hold it. */
+std::vector<double>
+concatenate(const std::vector<std::vector<double>> &runs)
+{
+    std::vector<double> all;
+    for (const auto &run : runs)
+        all.insert(all.end(), run.begin(), run.end());
+    return all;
+}
+
+std::vector<std::span<const double>>
+spansOf(const std::vector<std::vector<double>> &runs)
+{
+    return {runs.begin(), runs.end()};
+}
+
+TEST(SortedRuns, RankSelectionMatchesConcatenatedSort)
+{
+    // Differential check of the fleet fold's selection against a
+    // concatenate-and-sort reference: K in 1..64 runs, empty runs
+    // mixed in, integer-valued samples so ranks land on ties, and
+    // totals as small as one sample.
+    Rng rng(2024);
+    const std::vector<double> ps{0.0, 50.0, 99.0, 99.9, 100.0};
+    for (int round = 0; round < 400; ++round) {
+        const auto k = static_cast<std::size_t>(rng.uniformInt(1, 64));
+        std::vector<std::vector<double>> runs(k);
+        if (round % 8 == 0) {
+            // A single sample in one run, every other run empty.
+            runs[rng.uniformInt(0, k - 1)].push_back(
+                std::floor(rng.uniform(0, 100)));
+        } else {
+            for (auto &run : runs) {
+                if (rng.bernoulli(0.3))
+                    continue; // empty run
+                const auto n = rng.uniformInt(1, 200);
+                for (std::uint64_t i = 0; i < n; ++i)
+                    run.push_back(rng.bernoulli(0.5)
+                                      ? std::floor(rng.uniform(0, 20))
+                                      : rng.exponential(30.0));
+                std::sort(run.begin(), run.end());
+            }
+        }
+        const std::vector<double> all = concatenate(runs);
+        if (all.empty())
+            continue;
+        const auto spans = spansOf(runs);
+        const auto got = percentilesOfSortedRuns(spans, ps);
+        ASSERT_EQ(got.size(), ps.size());
+        for (std::size_t i = 0; i < ps.size(); ++i)
+            EXPECT_EQ(got[i], referencePercentile(all, ps[i]))
+                << "k=" << k << " n=" << all.size() << " p=" << ps[i];
+
+        // The mean keeps the concatenation's summation order: one
+        // running double over the runs in index order.
+        double sum = 0.0;
+        for (const double x : all)
+            sum += x;
+        EXPECT_EQ(meanOfRuns(spans),
+                  sum / static_cast<double>(all.size()))
+            << "k=" << k << " n=" << all.size();
+    }
+}
+
+TEST(SortedRuns, EmptyInputsAreDefined)
+{
+    const std::vector<std::vector<double>> runs(5);
+    const auto spans = spansOf(runs);
+    const std::vector<double> ps{0.0, 99.0, 100.0};
+    EXPECT_EQ(percentilesOfSortedRuns(spans, ps),
+              (std::vector<double>{0.0, 0.0, 0.0}));
+    EXPECT_EQ(meanOfRuns(spans), 0.0);
+    EXPECT_EQ(meanOfRuns({}), 0.0);
+
+    // And asking for no percentile of a non-empty union is empty.
+    const std::vector<std::vector<double>> one{{1.0, 2.0}};
+    EXPECT_TRUE(percentilesOfSortedRuns(spansOf(one), {}).empty());
+}
+
+TEST(SortedRunsDeathTest, OutOfRangePanics)
+{
+    const std::vector<std::vector<double>> runs{{1.0, 2.0}};
+    const auto spans = spansOf(runs);
+    const std::vector<double> ps{99.0, 100.5};
+    EXPECT_DEATH(percentilesOfSortedRuns(spans, ps), "range");
 }
 
 TEST(WeightedShares, SharesSumToOne)
