@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
-#include <set>
 #include <span>
 
 #include "cap/powercap.hh"
 #include "cstate/governors.hh"
 #include "freq/policies.hh"
+#include "sim/draw_ahead.hh"
 #include "sim/logging.hh"
 #include "sim/thread_pool.hh"
 
@@ -39,13 +39,9 @@ struct LbState
 
 /**
  * Concrete FleetView over the SoA outstanding column. When built
- * with a non-zero pack capacity it maintains an ordered index of
- * under-capacity servers, so pack-first's "lowest-indexed server
- * below capacity" probe is O(log K) instead of an O(K) scan across
- * the packed prefix -- the scan is the balancer bottleneck at
- * K=10k, where nearly every probe walks hundreds of at-capacity
- * servers before finding the spill target. The index answers
- * exactly what the linear scan would.
+ * with a non-zero pack capacity it keeps an UnderCapacityIndex, so
+ * pack-first's "lowest-indexed server below capacity" probe reads a
+ * few bitset words instead of scanning the packed prefix.
  */
 class IndexedView : public FleetView
 {
@@ -64,12 +60,11 @@ class IndexedView : public FleetView
                 unsigned pack_capacity,
                 const std::vector<power::Watts> *budgets = nullptr,
                 double watts_per_request = 0.0)
-        : _counts(counts), _capacity(pack_capacity),
-          _budgets(budgets), _wattsPerRequest(watts_per_request)
+        : _counts(counts), _budgets(budgets),
+          _wattsPerRequest(watts_per_request)
     {
-        if (_capacity > 0)
-            for (std::uint32_t i = 0; i < counts.size(); ++i)
-                _under.insert(_under.end(), i);
+        if (pack_capacity > 0)
+            _under.emplace(counts, pack_capacity);
     }
 
     std::size_t servers() const override { return _counts.size(); }
@@ -80,11 +75,9 @@ class IndexedView : public FleetView
 
     std::size_t firstUnderCapacity(unsigned capacity) const override
     {
-        if (_capacity == 0 || capacity != _capacity)
+        if (!_under || capacity != _under->capacity())
             return FleetView::firstUnderCapacity(capacity);
-        if (_under.empty())
-            return _counts.size();
-        return *_under.begin();
+        return _under->first();
     }
 
     double headroomWatts(std::size_t i) const override
@@ -97,23 +90,22 @@ class IndexedView : public FleetView
     /** Balancer bookkeeping after routing to @p i. */
     void onRouted(std::size_t i)
     {
-        if (_capacity > 0 && _counts[i] >= _capacity)
-            _under.erase(static_cast<std::uint32_t>(i));
+        if (_under)
+            _under->onRouted(i);
     }
 
     /** Balancer bookkeeping after a completion at @p i. */
     void onCompleted(std::size_t i)
     {
-        if (_capacity > 0 && _counts[i] == _capacity - 1)
-            _under.insert(static_cast<std::uint32_t>(i));
+        if (_under)
+            _under->onCompleted(i);
     }
 
   private:
     const std::vector<unsigned> &_counts;
-    const unsigned _capacity;
     const std::vector<power::Watts> *_budgets;
     const double _wattsPerRequest;
-    std::set<std::uint32_t> _under;
+    std::optional<UnderCapacityIndex> _under;
 };
 
 /** One request in flight in the balancer's occupancy estimate. */
@@ -248,6 +240,23 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
     const bool keep_estimate = policy->readsOccupancy();
     sim::Rng lb_rng(sim::deriveSeed(_cfg.seed, K));
     sim::Rng est_rng(sim::deriveSeed(_cfg.seed, K + 1));
+    const auto drawEstimate = [this, &est_rng] {
+        workload::ServiceModel &service = _profile.service();
+        return service.draw(est_rng).duration(
+            service.referenceFrequency());
+    };
+    // The balancer consumes est_rng strictly in order, one draw per
+    // routed request, so its sequence depends on the seed alone and
+    // can be drawn ahead on a producer thread when the run may use
+    // more than one. Draws left in the ring at the end are dropped
+    // with it: est_rng is private to this pass.
+    std::optional<sim::DrawAhead<sim::Tick>> estimates;
+    if (keep_estimate &&
+        sim::ThreadPool::resolveThreads(_cfg.fleetThreads) > 1)
+        estimates.emplace([&drawEstimate](std::span<sim::Tick> out) {
+            for (sim::Tick &t : out)
+                t = drawEstimate();
+        });
 
     LbState lb(K);
 
@@ -370,12 +379,12 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
         if (!keep_estimate)
             continue;
         const sim::Tick estimate =
-            _profile.service().draw(est_rng).duration(
-                _profile.service().referenceFrequency());
+            estimates ? estimates->next() : drawEstimate();
         in_flight.push(InFlight{now + estimate, target});
         ++lb.outstanding[target];
         view.onRouted(target);
     }
+    estimates.reset(); // join the producer before the pool starts
 
     // ---------------------------------------------- per-server runs
     FleetResult fr;

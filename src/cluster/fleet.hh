@@ -22,7 +22,11 @@
  * balancers route on. Occupancy-blind policies (round-robin,
  * random) route without one, and the balancer keeps none for them:
  * the estimate draws from a stream of its own, so skipping it moves
- * no routing decision.
+ * no routing decision. Because that stream's sequence depends on the
+ * seed alone, a run allowed more than one fleet thread draws it
+ * ahead on a producer thread (sim::DrawAhead) while the balancer
+ * routes; pack-first finds its spill target in an
+ * UnderCapacityIndex instead of scanning the packed prefix.
  */
 
 #ifndef AW_CLUSTER_FLEET_HH

@@ -14,6 +14,19 @@ FleetView::firstUnderCapacity(unsigned capacity) const
     return n;
 }
 
+UnderCapacityIndex::UnderCapacityIndex(
+    const std::vector<unsigned> &counts, unsigned capacity)
+    : _counts(counts), _capacity(capacity),
+      _words((counts.size() + 63) / 64, 0),
+      _summary((_words.size() + 63) / 64, 0)
+{
+    if (capacity == 0)
+        sim::panic("UnderCapacityIndex: capacity must be positive");
+    for (std::size_t i = 0; i < counts.size(); ++i)
+        if (counts[i] < capacity)
+            set(i);
+}
+
 std::size_t
 RoundRobinRouting::route(const FleetView &view, sim::Rng &)
 {

@@ -16,6 +16,8 @@
 #ifndef AW_CLUSTER_ROUTING_HH
 #define AW_CLUSTER_ROUTING_HH
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,9 +44,10 @@ class FleetView
      * The lowest-indexed server with outstanding work below
      * @p capacity, or servers() when every server is at or above
      * it. The default is the linear scan pack-first has always
-     * routed with; views that maintain an ordered under-capacity
-     * index (the fleet balancer's does) override it to answer in
-     * O(log K) instead of O(K) -- the answer must be identical.
+     * routed with; views that keep an UnderCapacityIndex (the fleet
+     * balancer's does) override it to answer from ceil(K/4096)
+     * summary words instead of an O(K) scan -- the answer must be
+     * identical.
      */
     virtual std::size_t firstUnderCapacity(unsigned capacity) const;
 
@@ -59,6 +62,86 @@ class FleetView
     {
         return -static_cast<double>(outstanding(i));
     }
+};
+
+/**
+ * The servers whose outstanding count is below a fixed pack-first
+ * capacity, kept so that "the lowest-indexed server below capacity"
+ * need not scan the packed prefix: at K=10k nearly every pack-first
+ * probe would otherwise walk hundreds of at-capacity servers.
+ *
+ * A two-level word bitset over a count column the caller owns and
+ * changes one step at a time: bit i of the first level is set while
+ * counts[i] < capacity, and bit w of the second level while
+ * first-level word w is non-zero. first() scans ceil(K/4096)
+ * summary words and then one first-level word; an update touches at
+ * most one word of each level and never allocates. first() is
+ * exactly FleetView::firstUnderCapacity()'s linear scan over the
+ * same counts.
+ */
+class UnderCapacityIndex
+{
+  public:
+    /** Index @p counts, which must outlive the index, against
+     *  @p capacity (> 0). */
+    UnderCapacityIndex(const std::vector<unsigned> &counts,
+                       unsigned capacity);
+
+    unsigned capacity() const { return _capacity; }
+
+    /** Bookkeeping after counts[i] went up by one. */
+    void
+    onRouted(std::size_t i)
+    {
+        if (_counts[i] == _capacity)
+            clear(i);
+    }
+
+    /** Bookkeeping after counts[i] went down by one. */
+    void
+    onCompleted(std::size_t i)
+    {
+        if (_counts[i] + 1 == _capacity)
+            set(i);
+    }
+
+    /** The lowest-indexed server below capacity, or counts.size()
+     *  when every server is at or above it. */
+    std::size_t
+    first() const
+    {
+        for (std::size_t s = 0; s < _summary.size(); ++s) {
+            if (_summary[s] == 0)
+                continue;
+            const std::size_t w =
+                s * 64 + std::countr_zero(_summary[s]);
+            return w * 64 + std::countr_zero(_words[w]);
+        }
+        return _counts.size();
+    }
+
+  private:
+    void
+    set(std::size_t i)
+    {
+        const std::size_t w = i / 64;
+        _words[w] |= std::uint64_t{1} << (i % 64);
+        _summary[w / 64] |= std::uint64_t{1} << (w % 64);
+    }
+
+    void
+    clear(std::size_t i)
+    {
+        const std::size_t w = i / 64;
+        _words[w] &= ~(std::uint64_t{1} << (i % 64));
+        if (_words[w] == 0)
+            _summary[w / 64] &= ~(std::uint64_t{1} << (w % 64));
+    }
+
+    const std::vector<unsigned> &_counts;
+    const unsigned _capacity;
+    std::vector<std::uint64_t> _words;   //!< bit i: counts[i] < cap
+    std::vector<std::uint64_t> _summary; //!< bit w: _words[w] != 0
 };
 
 /**

@@ -13,9 +13,6 @@ name(PmaPhase p)
       case PmaPhase::EntrySaveGate: return "entry.save_gate";
       case PmaPhase::EntryCacheSleep: return "entry.cache_sleep";
       case PmaPhase::IdleC6a: return "idle.c6a";
-      case PmaPhase::SnoopWake: return "snoop.wake";
-      case PmaPhase::SnoopServe: return "snoop.serve";
-      case PmaPhase::SnoopResleep: return "snoop.resleep";
       case PmaPhase::ExitCacheWake: return "exit.cache_wake";
       case PmaPhase::ExitUngate: return "exit.ungate";
       case PmaPhase::ExitClockUngate: return "exit.clock_ungate";
@@ -156,28 +153,6 @@ C6aController::runExit(sim::Simulator &simr,
              [this, &simr, done = std::move(done)]() mutable {
             step(simr, PmaPhase::ExitClockUngate,
                  kPmaClock.cycles(kClockUngateCycles), PmaPhase::C0,
-                 std::move(done));
-        });
-    });
-}
-
-void
-C6aController::runSnoop(sim::Simulator &simr, sim::Tick serve_time,
-                        std::function<void()> done)
-{
-    if (_phase != PmaPhase::IdleC6a)
-        sim::panic("C6aController::runSnoop from phase %s",
-                   name(_phase));
-    advance(simr, PmaPhase::SnoopWake);
-    step(simr, PmaPhase::SnoopWake, snoopWakeLatency(),
-         PmaPhase::SnoopServe,
-         [this, &simr, serve_time,
-          done = std::move(done)]() mutable {
-        step(simr, PmaPhase::SnoopServe, serve_time,
-             PmaPhase::SnoopResleep,
-             [this, &simr, done = std::move(done)]() mutable {
-            step(simr, PmaPhase::SnoopResleep,
-                 snoopResleepLatency(), PmaPhase::IdleC6a,
                  std::move(done));
         });
     });

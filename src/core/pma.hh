@@ -18,8 +18,10 @@
  *           (c) back to sleep                  [3 cycles]
  *
  * The controller both *computes* these latencies (for the analytical
- * models and Table 1) and *executes* them as discrete events with a
- * phase trace (for the integration tests and the server simulator).
+ * models and Table 1) and *executes* the entry and exit flows as
+ * discrete events with a phase trace. The snoop flow is only
+ * computed: the server simulator charges its wake and re-sleep
+ * latencies directly.
  */
 
 #ifndef AW_CORE_PMA_HH
@@ -47,9 +49,6 @@ enum class PmaPhase : std::uint8_t
     EntrySaveGate,   //!< Fig 6 step 2
     EntryCacheSleep, //!< Fig 6 step 3
     IdleC6a,         //!< resident in C6A/C6AE
-    SnoopWake,       //!< Fig 6 step a
-    SnoopServe,      //!< Fig 6 step b
-    SnoopResleep,    //!< Fig 6 step c
     ExitCacheWake,   //!< Fig 6 step 4
     ExitUngate,      //!< Fig 6 step 5 (staggered)
     ExitClockUngate, //!< Fig 6 step 6
@@ -123,14 +122,6 @@ class C6aController
 
     /** Run the exit flow; @p done fires when C0 is reached. */
     void runExit(sim::Simulator &simr, std::function<void()> done);
-
-    /**
-     * Run the snoop flow (a-b-c); @p serve_time is how long the
-     * probes take to serve (from the cache model); @p done fires
-     * when the core is back in full C6A.
-     */
-    void runSnoop(sim::Simulator &simr, sim::Tick serve_time,
-                  std::function<void()> done);
 
     PmaPhase phase() const { return _phase; }
     const std::vector<PhaseRecord> &trace() const { return _trace; }

@@ -80,8 +80,6 @@ class FlushModel
 enum class CacheDomainState
 {
     Active,      //!< clocks running, nominal voltage
-    ClockGated,  //!< clocks stopped, nominal voltage (C1/C1E)
-    SleepMode,   //!< clocks stopped, data arrays at retention (C6A)
     Flushed,     //!< contents invalid, power may be removed (C6)
 };
 
@@ -132,10 +130,8 @@ class PrivateCaches
     /** Perform the flush: contents gone, dirty fraction resets. */
     void flush();
 
-    /** @{ Domain power-state tracking. */
+    /** Domain power state: Active until flush(). */
     CacheDomainState state() const { return _state; }
-    void setState(CacheDomainState s) { _state = s; }
-    /** @} */
 
     /**
      * Cycles to service one snoop once the domain is awake: tag

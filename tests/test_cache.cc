@@ -115,20 +115,11 @@ TEST(PrivateCaches, TouchConvergesToWriteFraction)
 TEST(PrivateCaches, FlushResetsDirtyAndState)
 {
     auto caches = PrivateCaches::skylakeServer();
+    EXPECT_EQ(caches.state(), CacheDomainState::Active);
     caches.setDirtyFraction(0.8);
     caches.flush();
     EXPECT_DOUBLE_EQ(caches.dirtyFraction(), 0.0);
     EXPECT_EQ(caches.state(), CacheDomainState::Flushed);
-}
-
-TEST(PrivateCaches, StateTransitions)
-{
-    auto caches = PrivateCaches::skylakeServer();
-    EXPECT_EQ(caches.state(), CacheDomainState::Active);
-    caches.setState(CacheDomainState::SleepMode);
-    EXPECT_EQ(caches.state(), CacheDomainState::SleepMode);
-    caches.setState(CacheDomainState::ClockGated);
-    EXPECT_EQ(caches.state(), CacheDomainState::ClockGated);
 }
 
 TEST(PrivateCaches, SnoopServiceTime)

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "analysis/power_model.hh"
 #include "cluster/diurnal.hh"
@@ -176,6 +177,84 @@ TEST(Routing, OccupancyBlindPoliciesNeverReadTheView)
         else
             EXPECT_EQ(spy.reads, 0u);
     }
+}
+
+TEST(UnderCapacityIndex, FirstEqualsTheLinearScan)
+{
+    // Seeded route/complete sequences move the counts one step at a
+    // time, as the balancer does: mostly pack-first routes to the
+    // index's own answer, plus routes and completions anywhere. A
+    // fill phase runs until every server has sat at capacity
+    // (first() == servers()) several times, then a drain phase
+    // empties the fleet. After every step the index must give the
+    // linear scan's answer. The sizes sit on both sides of one
+    // 64-server word and of one 4096-server summary word; odd sizes
+    // run at capacity 2, even ones at capacity 1.
+    for (const std::size_t K :
+         {1, 63, 64, 65, 4095, 4096, 4097, 10000}) {
+        const unsigned cap = K % 2 == 1 ? 2 : 1;
+        SCOPED_TRACE(testing::Message()
+                     << "K " << K << ", capacity " << cap);
+        FakeView view(std::vector<unsigned>(K, 0));
+        UnderCapacityIndex index(view._counts, cap);
+        sim::Rng rng(31 * K + cap);
+        std::vector<std::size_t> in_flight; // one per request
+        std::size_t saw_full = 0;
+
+        const auto route = [&](bool pack) {
+            const std::size_t first = index.first();
+            const std::size_t s =
+                pack && first < K ? first
+                                  : rng.uniformInt(0, K - 1);
+            ++view._counts[s];
+            index.onRouted(s);
+            in_flight.push_back(s);
+        };
+        const auto complete = [&] {
+            const std::size_t j =
+                rng.uniformInt(0, in_flight.size() - 1);
+            const std::size_t s = in_flight[j];
+            in_flight[j] = in_flight.back();
+            in_flight.pop_back();
+            --view._counts[s];
+            index.onCompleted(s);
+        };
+        const auto agrees = [&] {
+            const std::size_t scan = view.firstUnderCapacity(cap);
+            if (scan == K)
+                ++saw_full;
+            EXPECT_EQ(index.first(), scan)
+                << "after " << in_flight.size() << " in flight";
+            return index.first() == scan;
+        };
+
+        ASSERT_TRUE(agrees());
+        const std::size_t max_steps = 40 * K * cap + 1000;
+        std::size_t steps = 0;
+        while (saw_full < 8 && steps++ < max_steps) {
+            const double u = rng.uniform();
+            if (u < 0.25 && !in_flight.empty())
+                complete();
+            else
+                route(/*pack=*/u < 0.8);
+            ASSERT_TRUE(agrees());
+        }
+        EXPECT_GE(saw_full, 8u) << "never filled the fleet";
+        while (!in_flight.empty()) {
+            if (rng.uniform() < 0.2)
+                route(/*pack=*/rng.uniform() < 0.7);
+            else
+                complete();
+            ASSERT_TRUE(agrees());
+        }
+        EXPECT_EQ(index.first(), 0u);
+    }
+}
+
+TEST(UnderCapacityIndexDeathTest, RejectsZeroCapacity)
+{
+    const std::vector<unsigned> counts(4, 0);
+    EXPECT_DEATH(UnderCapacityIndex(counts, 0), "capacity");
 }
 
 // ---------------------------------------------------------- diurnal

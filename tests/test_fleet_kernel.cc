@@ -46,7 +46,14 @@ kernelFleet(const std::string &routing, unsigned servers)
 void
 expectSameRun(const FleetResult &a, const FleetResult &b)
 {
+    EXPECT_EQ(a.routingName, b.routingName);
+    EXPECT_EQ(a.configName, b.configName);
+    EXPECT_EQ(a.workloadName, b.workloadName);
+    EXPECT_EQ(a.servers, b.servers);
+    EXPECT_DOUBLE_EQ(a.offeredQps, b.offeredQps);
+    EXPECT_EQ(a.window, b.window);
     EXPECT_EQ(a.requests, b.requests);
+    EXPECT_DOUBLE_EQ(a.achievedQps, b.achievedQps);
     EXPECT_EQ(a.routed, b.routed);
     EXPECT_EQ(a.events, b.events);
     EXPECT_EQ(a.routedPerServer, b.routedPerServer);
@@ -57,21 +64,37 @@ expectSameRun(const FleetResult &a, const FleetResult &b)
     EXPECT_DOUBLE_EQ(a.avgLatencyUs, b.avgLatencyUs);
     EXPECT_DOUBLE_EQ(a.p99LatencyUs, b.p99LatencyUs);
     EXPECT_DOUBLE_EQ(a.p999LatencyUs, b.p999LatencyUs);
+    for (std::size_t s = 0; s < cstate::kNumCStates; ++s) {
+        EXPECT_DOUBLE_EQ(a.residency.share[s], b.residency.share[s])
+            << "state " << s;
+        EXPECT_EQ(a.residency.entries[s], b.residency.entries[s])
+            << "state " << s;
+    }
     EXPECT_DOUBLE_EQ(a.deepIdleShare, b.deepIdleShare);
     EXPECT_DOUBLE_EQ(a.minServerDeepShare, b.minServerDeepShare);
     EXPECT_DOUBLE_EQ(a.maxServerDeepShare, b.maxServerDeepShare);
     EXPECT_DOUBLE_EQ(a.busiestShareOfLoad, b.busiestShareOfLoad);
+    EXPECT_DOUBLE_EQ(a.capThrottleShare, b.capThrottleShare);
+    EXPECT_EQ(a.forcedIdleNaps, b.forcedIdleNaps);
+    EXPECT_DOUBLE_EQ(a.maxTempC, b.maxTempC);
     ASSERT_EQ(a.perServer.size(), b.perServer.size());
     for (std::size_t i = 0; i < a.perServer.size(); ++i) {
         EXPECT_EQ(a.perServer[i].requests, b.perServer[i].requests)
             << "server " << i;
+        EXPECT_EQ(a.perServer[i].events, b.perServer[i].events)
+            << "server " << i;
         EXPECT_DOUBLE_EQ(a.perServer[i].coreEnergy,
                          b.perServer[i].coreEnergy)
+            << "server " << i;
+        EXPECT_DOUBLE_EQ(a.perServer[i].packagePower,
+                         b.perServer[i].packagePower)
             << "server " << i;
         EXPECT_DOUBLE_EQ(a.perServer[i].avgLatencyUs,
                          b.perServer[i].avgLatencyUs)
             << "server " << i;
     }
+    EXPECT_EQ(a.timeline.has_value(), b.timeline.has_value());
+    EXPECT_EQ(a.trace.has_value(), b.trace.has_value());
 }
 
 // ------------------------------------------------- edge geometries
@@ -205,19 +228,81 @@ TEST(FleetKernel, EpochBoundaryOnRoutingDecisionIsInvisible)
 
 TEST(FleetKernel, ThreadCountAndEpochAreInvisibleTogether)
 {
-    auto once = [](unsigned threads, double epoch_s) {
-        auto fc = kernelFleet("pack-first", 8);
-        fc.fleetThreads = threads;
-        fc.epochSeconds = epoch_s;
-        FleetSim fleet(fc, workload::WorkloadProfile::memcached(),
-                       30e3);
-        return fleet.run(sim::fromMs(60.0), sim::fromMs(6.0));
+    // Every routing policy, at 1, 2 and 8 threads, with and without
+    // epochs, is the serial one-epoch run. Beyond one thread the
+    // occupancy-reading policies draw their service-time estimates
+    // ahead on a producer thread; the blind ones keep no estimate.
+    // route-to-headroom runs under a cap, whose redistribution is
+    // on only when epochs are (so there the epoch is part of the
+    // run, and only the thread count must be invisible). The last
+    // case is pack-first at capacity 1 over 4160 servers, driven in
+    // bursts long enough to fill every server and spill: its
+    // under-capacity index answers past the first 64-server word
+    // and the first 4096-server summary word.
+    struct Case
+    {
+        std::string routing;
+        unsigned servers = 8;
+        double capWatts = 0.0;
+        bool burst = false;
     };
-    const auto serial = once(1, 0.0);
-    expectSameRun(serial, once(2, 0.0));
-    expectSameRun(serial, once(8, 0.0));
-    expectSameRun(serial, once(8, 0.01));
-    expectSameRun(serial, once(2, 0.013)); // misaligned epoch
+    std::vector<Case> cases;
+    for (const auto &name : routingPolicyNames())
+        cases.push_back(Case{name, 8,
+                             name == "route-to-headroom" ? 16.0 : 0.0});
+    cases.push_back(Case{"pack-first", 4160, 0.0, /*burst=*/true});
+
+    for (const Case &c : cases) {
+        SCOPED_TRACE(testing::Message()
+                     << c.routing << " K=" << c.servers);
+        auto once = [&c](unsigned threads, double epoch_s) {
+            auto fc = kernelFleet(c.routing, c.servers);
+            fc.fleetThreads = threads;
+            fc.epochSeconds = epoch_s;
+            fc.server.cap.capWatts = c.capWatts;
+            if (!c.burst) {
+                FleetSim fleet(fc,
+                               workload::WorkloadProfile::memcached(),
+                               30e3);
+                return fleet.run(sim::fromMs(60.0), sim::fromMs(6.0));
+            }
+            // 4400 arrivals 1 ns apart, far shorter than a 500 us
+            // query, then 3 ms for the burst to drain.
+            fc.packCapacity = 1;
+            std::vector<sim::Tick> gaps(4400, sim::fromNs(1.0));
+            gaps.push_back(sim::fromMs(3.0));
+            FleetSim fleet(fc, workload::WorkloadProfile::mysql(),
+                           1e6);
+            fleet.setArrivalTrace(workload::ArrivalTrace(gaps));
+            return fleet.run(sim::fromMs(6.0), sim::fromMs(0.6));
+        };
+        const auto serial = once(1, 0.0);
+        EXPECT_GT(serial.requests, 0u);
+        if (c.burst) {
+            ASSERT_EQ(serial.routedPerServer.size(), 4160u);
+            EXPECT_EQ(serial.neverRouted, 0u);
+            EXPECT_GT(serial.routedPerServer[64], 0u);
+            EXPECT_GT(serial.routedPerServer[4096], 0u);
+            EXPECT_GT(serial.routedPerServer[0],
+                      serial.routedPerServer[4159]); // spilled
+        }
+        for (const double epoch_s : {0.0, 0.0013}) {
+            SCOPED_TRACE(epoch_s);
+            const bool epoch_shapes_run =
+                c.capWatts > 0.0 && epoch_s > 0.0;
+            const auto reference =
+                epoch_shapes_run ? once(1, epoch_s) : serial;
+            if (epoch_shapes_run) {
+                EXPECT_GT(reference.capThrottleShare, 0.0);
+            }
+            for (const unsigned threads : {1u, 2u, 8u}) {
+                if (threads == 1 && (epoch_s == 0.0 || epoch_shapes_run))
+                    continue; // that is the reference itself
+                SCOPED_TRACE(threads);
+                expectSameRun(reference, once(threads, epoch_s));
+            }
+        }
+    }
 }
 
 // ------------------------------------------- artifact byte identity

@@ -107,20 +107,6 @@ TEST_F(PmaTest, ExitFlowTraceSequenceAndTiming)
     EXPECT_EQ(trace[3].phase, PmaPhase::ExitClockUngate);
 }
 
-TEST_F(PmaTest, SnoopFlowReturnsToIdle)
-{
-    Simulator simr;
-    auto &ctl = model.controller();
-    ctl.runEntry(simr, nullptr);
-    simr.run();
-    bool done = false;
-    const Tick serve = fromNs(6.4); // ~14 cycles at 2.2 GHz
-    ctl.runSnoop(simr, serve, [&] { done = true; });
-    simr.run();
-    ASSERT_TRUE(done);
-    EXPECT_EQ(ctl.phase(), PmaPhase::IdleC6a);
-}
-
 TEST_F(PmaTest, SnoopLatenciesAreCycleScale)
 {
     const auto &ctl = model.controller();
@@ -152,14 +138,6 @@ TEST(PmaDeathTest, DoubleEntryPanics)
     simr.run();
     EXPECT_DEATH(model.controller().runEntry(simr, nullptr),
                  "runEntry");
-}
-
-TEST(PmaDeathTest, SnoopWhileActivePanics)
-{
-    core::AwCoreModel model;
-    Simulator simr;
-    EXPECT_DEATH(model.controller().runSnoop(simr, 100, nullptr),
-                 "runSnoop");
 }
 
 TEST_F(PmaTest, PmaClockIsFiveHundredMegahertz)
