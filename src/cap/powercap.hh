@@ -106,7 +106,7 @@ class RcThermalModel
 /**
  * Cap + thermal knobs of one server (ServerConfig::cap). All
  * defaults keep the subsystem fully disabled: no control events are
- * scheduled, no ladder tables are built, and every artifact stays
+ * scheduled, no core's level moves, and every artifact stays
  * byte-identical to a build without the subsystem.
  */
 struct CapConfig

@@ -289,13 +289,12 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
 
     // The under-capacity index only pays for itself when someone
     // asks the question it answers. Headroom routing estimates one
-    // ladder-top busy core of draw per outstanding request.
-    const freq::PStateLadder ladder(_cfg.server.pstates);
+    // busy core's draw at P1 per outstanding request.
     IndexedView view(lb.outstanding,
                      _cfg.routing == "pack-first" ? packCapacity()
                                                   : 0,
                      cap_on ? &cur_budget : nullptr,
-                     ladder.activePower(ladder.top()));
+                     cstate::kC0PowerP1);
     InFlightHeap in_flight;
 
     // Completion estimates are published by draining the heap up to
@@ -456,15 +455,9 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
             recorder.emplace(*_timeline, scfg.cores);
         if (_requestTrace)
             tracer.emplace(*_requestTrace, scfg.cores);
-        if (recorder && tracer) {
-            fanout.add(&*recorder);
-            fanout.add(&*tracer);
-            srv.setObserver(&fanout);
-        } else if (recorder) {
-            srv.setObserver(&*recorder);
-        } else if (tracer) {
-            srv.setObserver(&*tracer);
-        }
+        fanout.add(recorder ? &*recorder : nullptr);
+        fanout.add(tracer ? &*tracer : nullptr);
+        srv.setObserver(fanout.target());
         ServerSlot &slot = slots[i];
         slot.result = srv.run(duration, warmup);
         if (recorder)

@@ -150,7 +150,7 @@ makeScenarios()
     // the race-to-halt headline. Gates the dynamic-frequency hot
     // path -- per-level table swaps, ramp events, the ondemand/
     // conservative sampling ticks and racetohalt's edge observes --
-    // against the static operating point's throughput.
+    // against the pinned operating point's throughput.
     s.push_back(PerfScenario{
         "fleet_sweep_dvfs",
         "1 server x {c1c6,aw} x {racetohalt,ondemand,powersave} x "

@@ -191,15 +191,9 @@ SweepRunner::runPoint(const ExperimentSpec &spec, const GridPoint &pt)
         }
         if (spec.traceRequests)
             tracer.emplace(analysis::TraceConfig{}, cfg.cores);
-        if (recorder && tracer) {
-            fanout.add(&*recorder);
-            fanout.add(&*tracer);
-            srv.setObserver(&fanout);
-        } else if (recorder) {
-            srv.setObserver(&*recorder);
-        } else if (tracer) {
-            srv.setObserver(&*tracer);
-        }
+        fanout.add(recorder ? &*recorder : nullptr);
+        fanout.add(tracer ? &*tracer : nullptr);
+        srv.setObserver(fanout.target());
         const auto r = duration > 0 ? srv.run(duration, warmup)
                                     : srv.run();
         if (recorder)

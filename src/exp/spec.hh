@@ -37,7 +37,7 @@ struct GridPoint
     std::string workload; //!< workload profile registry name
     std::string config;   //!< server configuration registry name
     std::string governor; //!< governor spec ("" = config default)
-    std::string freqPolicy; //!< frequency governor ("" = static point)
+    std::string freqPolicy; //!< frequency governor ("" = pinned P1/Pn)
     double sloUs = 0.0;   //!< latency SLO in us (0 = unconstrained)
     double capWatts = 0.0; //!< package power cap in W (0 = uncapped)
     std::string policy;   //!< routing policy ("" = single server)
@@ -76,7 +76,7 @@ struct ExperimentSpec
     std::vector<std::string> governors;
     /** Frequency-governor specs (freq::FreqRegistry grammar, e.g.
      *  "performance", "ondemand", "racetohalt"). Empty = each
-     *  config's static operating point (base, or Pn under runAtPn),
+     *  config's pinned ladder level (P1, or Pn under runAtPn),
      *  leaving the grid -- and every emitted artifact -- identical
      *  to a spec without the axis. */
     std::vector<std::string> freqPolicies;

@@ -11,9 +11,9 @@
  * utilization of the last window (ondemand, conservative), or on
  * busy/idle edges (racetohalt), or never (performance, powersave).
  * CoreSim turns the chosen level into rescaled service rates,
- * active/boost powers and C-state transition latencies via tables
- * precomputed per level at construction, so the de-virtualized fast
- * path stays allocation-free.
+ * active/boost powers and C-state transition latencies via per-level
+ * tables ServerSim precomputes once per server, so the de-virtualized
+ * fast path stays allocation-free.
  */
 
 #ifndef AW_FREQ_FREQ_POLICY_HH
@@ -51,8 +51,10 @@ constexpr power::Joules kRampEnergy = power::microjoules(2.0);
  * not a ladder level: opportunistic boost above P1 stays the
  * TurboModel's job. Each level carries the unscaled C0 active power
  * from a cubic fit P(f) = a*f^3 + b anchored on the Table 1 points
- * (Pn: 0.8 GHz / 1 W, P1: 2.2 GHz / 4 W), so the top level
- * reproduces the legacy base-point power exactly.
+ * (Pn: 0.8 GHz / 1 W, P1: 2.2 GHz / 4 W). The endpoints are pinned
+ * to the table itself, so level 0 is exactly Pn at 1 W and top() is
+ * exactly P1 at 4 W for any table, whatever rounding the
+ * subdivision and the fit leave in between.
  */
 class PStateLadder
 {
@@ -81,6 +83,10 @@ class PStateLadder
             _freq[i] = sim::Frequency::ghz(f);
             _power[i] = a * f * f * f + b;
         }
+        _freq[0] = table.minimum;
+        _power[0] = cstate::kC0PowerPn;
+        _freq[top()] = table.base;
+        _power[top()] = cstate::kC0PowerP1;
     }
 
     std::size_t count() const { return _count; }

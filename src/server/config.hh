@@ -100,9 +100,9 @@ struct ServerConfig
 
     /** Frequency-governance policy spec (freq::FreqRegistry):
      *  "performance", "powersave", "ondemand", "conservative" or
-     *  "racetohalt". Empty (the default) keeps the legacy static
-     *  operating point (base, or Pn under runAtPn) with zero DVFS
-     *  machinery on the hot path. Like `governor`, each core clones
+     *  "racetohalt". Empty (the default) pins one ladder level (P1,
+     *  or Pn under runAtPn): no re-evaluation events and no ramps
+     *  on the hot path. Like `governor`, each core clones
      *  its own instance from one validated prototype. */
     std::string freqPolicy;
 

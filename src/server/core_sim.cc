@@ -1,6 +1,7 @@
 #include "server/core_sim.hh"
 
-#include "freq/qos.hh"
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace aw::server {
@@ -23,17 +24,16 @@ StatePowers::fromModels(const core::AwPpaModel &ppa)
 }
 
 CoreSim::CoreSim(sim::Simulator &simr, const ServerConfig &cfg,
+                 const OperatingPoints &points,
                  const cstate::GovernorPolicy &governor,
                  const freq::FreqPolicy *freq_proto,
                  const core::AwCoreModel &aw,
                  const workload::WorkloadProfile &profile,
                  double per_core_rate, unsigned id,
                  CompletionHook on_complete)
-    : _sim(simr), _cfg(cfg), _aw(aw), _profile(profile),
-      _onComplete(std::move(on_complete)),
+    : _sim(simr), _cfg(cfg), _points(points), _aw(aw),
+      _profile(profile), _onComplete(std::move(on_complete)),
       _caches(uarch::PrivateCaches::skylakeServer()),
-      _context(),
-      _transitions(_caches, _context, aw.controller().awLatencies()),
       _governor(governor.clone()),
       _residency(simr.now()),
       _turbo(cfg.turboParams, cfg.turboEnabled),
@@ -45,87 +45,25 @@ CoreSim::CoreSim(sim::Simulator &simr, const ServerConfig &cfg,
                     : nullptr),
       _rng(cfg.seed + id), _id(id)
 {
-    // ---- hot-loop tables: everything constant at the fixed
-    // operating point is derived once, here, instead of per event.
-    {
-        double f = _cfg.runAtPn ? _cfg.pstates.minimum.hz()
-                                : _cfg.pstates.base.hz();
-        if (_cfg.cstates.usesAgileWatts())
-            f *= 1.0 - core::Ufpg::kFrequencyDegradation;
-        _effFreq = sim::Frequency(f);
-    }
     for (std::size_t i = 0; i < cstate::kNumCStates; ++i) {
-        const auto id_i = static_cast<CStateId>(i);
-        const auto &desc = cstate::descriptor(id_i);
+        const auto &desc = cstate::descriptor(static_cast<CStateId>(i));
         _isAw[i] = desc.isAgileWatts;
         _depth[i] = desc.depth;
-        if (id_i != CStateId::C6)
-            _lat[i] = _transitions.latency(id_i, _effFreq);
     }
-    // C6 entry re-reads the live cache dirty fraction at entry time;
-    // cache the flush-independent remainder (context save, PG
-    // controller, software path) and the constant exit.
-    _latC6Fixed = _transitions.latency(CStateId::C6, _effFreq);
-    _latC6Fixed.entry -= _caches.flushTime(_effFreq);
-    const double scale = _profile.activePowerScale();
-    _activePower =
-        (_cfg.runAtPn ? _powers.activePn : _powers.activeP1) * scale;
-    _boostPower = _powers.activeBoost * scale;
+    _boostPower = _powers.activeBoost * _profile.activePowerScale();
     _deepestEnabled = _cfg.cstates.deepestEnabled();
 
-    if (freq_proto || _cfg.cap.enabled()) {
-        // ---- DVFS governance and/or cap enforcement: one table
-        // per ladder level, derived exactly like the static point
-        // above (AW degradation and the C6 flush split included),
-        // so pinning the top level reproduces the legacy tables
-        // bit-for-bit. The policy subsumes runAtPn -- level 0 IS
-        // the Pn point. A power cap without a frequency governor
-        // builds the same tables: the cap controller clamps the
-        // operating point down this ladder before it resorts to
-        // forced idle.
-        if (freq_proto)
-            _freqPolicy = freq_proto->clone();
-        const freq::PStateLadder ladder(_cfg.pstates);
-        const double degrade =
-            _cfg.cstates.usesAgileWatts()
-                ? 1.0 - core::Ufpg::kFrequencyDegradation
-                : 1.0;
-        _levels.resize(ladder.count());
-        for (std::size_t l = 0; l < ladder.count(); ++l) {
-            LevelTables &t = _levels[l];
-            t.effFreq =
-                sim::Frequency(ladder.frequency(l).hz() * degrade);
-            for (std::size_t i = 0; i < cstate::kNumCStates; ++i) {
-                const auto id_i = static_cast<CStateId>(i);
-                if (id_i != CStateId::C6)
-                    t.lat[i] = _transitions.latency(id_i, t.effFreq);
-            }
-            t.latC6Fixed =
-                _transitions.latency(CStateId::C6, t.effFreq);
-            t.latC6Fixed.entry -= _caches.flushTime(t.effFreq);
-            t.activeUnscaled = ladder.activePower(l);
-            t.activePower = t.activeUnscaled * scale;
-        }
-        if (_cfg.sloUs > 0.0) {
-            _minLevel = freq::LatencyQoS{_cfg.sloUs}.frequencyFloor(
-                ladder, _profile.service());
-        }
-        _curLevel = _freqPolicy
-                        ? _freqPolicy->select(0, 0.0)
-                        : (_cfg.runAtPn ? 0 : ladder.top());
-        if (_curLevel < _minLevel)
-            _curLevel = _minLevel;
-        if (_curLevel > ladder.top())
-            _curLevel = ladder.top();
-        _pendingLevel = _curLevel;
-        _wantLevel = _curLevel;
-        const LevelTables &t0 = _levels[_curLevel];
-        _effFreq = t0.effFreq;
-        _lat = t0.lat;
-        _latC6Fixed = t0.latC6Fixed;
-        _activePower = t0.activePower;
-        _turbo.setSustainedPower(_sim.now(), t0.activeUnscaled);
-    }
+    // The starting level: the policy's pick, or with no policy P1
+    // (Pn under runAtPn), raised to the QoS floor.
+    if (freq_proto)
+        _freqPolicy = freq_proto->clone();
+    const std::size_t level = std::clamp(
+        _freqPolicy ? _freqPolicy->select(0, 0.0)
+                    : (_cfg.runAtPn ? 0 : _points.top()),
+        _points.floor, _points.top());
+    _curLevel = _pendingLevel = _wantLevel = level;
+    _op = &_points.levels[level];
+    _turbo.setSustainedPower(_sim.now(), _op->activeUnscaled);
 
     if (_governor->needsOracle()) {
         // Clairvoyance only exists where this core generates its
@@ -150,7 +88,7 @@ CoreSim::CoreSim(sim::Simulator &simr, const ServerConfig &cfg,
         // state's resident power. This is what the simulator itself
         // will charge, so the oracle's choice is truly the cheapest.
         _governor->setCostModel([this](CStateId s, sim::Tick idle) {
-            const double active = _activePower;
+            const double active = _op->activePower;
             if (s == CStateId::C0) // polling: active power throughout
                 return active * sim::toSec(idle);
             const auto lat = latencyOf(s);
@@ -221,9 +159,9 @@ CoreSim::requestLevel(std::size_t level)
     // request (re-issued when the cap ceiling moves), raise it to
     // the QoS floor, then let the cap ceiling override both.
     _wantLevel = level;
-    if (level < _minLevel)
-        level = _minLevel;
-    std::size_t top = _levels.size() - 1;
+    if (level < _points.floor)
+        level = _points.floor;
+    std::size_t top = _points.top();
     if (_capLevel < top)
         top = _capLevel;
     if (level > top)
@@ -253,18 +191,14 @@ void
 CoreSim::applyLevel(std::size_t level)
 {
     _curLevel = level;
-    const LevelTables &t = _levels[level];
-    _effFreq = t.effFreq;
-    _lat = t.lat;
-    _latC6Fixed = t.latC6Fixed;
-    _activePower = t.activePower;
+    _op = &_points.levels[level];
     ++_freqTransitions;
     _freqRampEnergy += freq::kRampEnergy;
     // In-flight service keeps the rate it started at; the power
     // level and the turbo sustain anchor move with the new point.
-    _turbo.setSustainedPower(_sim.now(), t.activeUnscaled);
+    _turbo.setSustainedPower(_sim.now(), _op->activeUnscaled);
     if (_observer)
-        _observer->onFreqChange(_id, _sim.now(), _effFreq.hz());
+        _observer->onFreqChange(_id, _sim.now(), _op->effFreq.hz());
     updatePower();
 }
 
@@ -278,8 +212,7 @@ CoreSim::setCapState(std::size_t level_cap, sim::Tick nap_len,
     // Re-clamp the operating point against the new ceiling (or let
     // it recover toward the last unclamped request). An in-flight
     // nap completes on its own schedule.
-    if (!_levels.empty())
-        requestLevel(_wantLevel);
+    requestLevel(_wantLevel);
 }
 
 std::uint64_t
@@ -371,20 +304,16 @@ CoreSim::beginService()
         _observer->onServiceStart(_id, req.id, _sim.now());
 
     // Frequency decision: boost if the thermal credit covers the
-    // whole request, else base. A frequency governor gates boost on
+    // whole request, else the applied level. Boost requires
     // targeting the top ladder level (intel_pstate-style: turbo only
-    // engages above a max-performance request), with the sustain
-    // anchor tracking the applied level.
-    sim::Frequency freq = _effFreq;
+    // engages above a max-performance request), so a Pn pin or a cap
+    // clamp also suppresses it; the sustain anchor tracks the
+    // applied level.
+    sim::Frequency freq = _op->effFreq;
     const sim::Tick dur_boost = req.demand.duration(
         _cfg.pstates.turbo);
     _boosting = false;
-    // With ladder tables (governor or cap) boost requires targeting
-    // the top level, so a cap clamp also suppresses turbo; the
-    // legacy static path keeps the runAtPn rule.
-    const bool boost_ok =
-        !_levels.empty() ? targetLevel() + 1 == _levels.size()
-                         : !_cfg.runAtPn;
+    const bool boost_ok = targetLevel() == _points.top();
     if (_turbo.enabled() && boost_ok &&
         _turbo.canBoost(_sim.now(), dur_boost)) {
         _turbo.commitBoost(_sim.now(), dur_boost);
@@ -660,7 +589,7 @@ CoreSim::onSnoop()
         return;
 
     const bool hit = _snoops.drawHit();
-    sim::Tick window = _caches.snoopServiceTime(_effFreq, hit);
+    sim::Tick window = _caches.snoopServiceTime(_op->effFreq, hit);
     if (_isAw[cstate::index(_idleState)]) {
         window += _aw.controller().snoopWakeLatency() +
                   _aw.controller().snoopResleepLatency();
@@ -677,19 +606,20 @@ power::Watts
 CoreSim::currentPower() const
 {
     // Workload-specific dynamic power skew is folded into the
-    // precomputed _activePower/_boostPower scalars: the analytical
-    // model only knows the nominal Table 1 constant (Sec 6.3).
+    // precomputed level and boost powers: the analytical model only
+    // knows the nominal Table 1 constant (Sec 6.3).
+    const power::Watts active = _op->activePower;
     switch (_mode) {
       case Mode::Active:
-        return _boosting ? _boostPower : _activePower;
+        return _boosting ? _boostPower : active;
       case Mode::EnteringIdle:
       case Mode::ExitingIdle:
         // Transition flows run parts of the core at active power.
-        return _activePower;
+        return active;
       case Mode::Idle: {
         power::Watts p = _powers.idle[cstate::index(_idleState)];
         if (_idleState == CStateId::C0)
-            p = _activePower; // polling
+            p = active; // polling
         if (_sim.now() < _snoopBusyUntil) {
             p += _isAw[cstate::index(_idleState)]
                      ? core::Ccsm::kSnoopServiceDeltaC6a
@@ -698,7 +628,7 @@ CoreSim::currentPower() const
         return p;
       }
     }
-    return _activePower;
+    return active;
 }
 
 void
@@ -753,11 +683,11 @@ CoreSim::resetStats()
     _forcedNapsAtReset = _forcedNaps;
     _freqTransitionsAtReset = _freqTransitions;
     _rampEnergyAtReset = _freqRampEnergy;
-    // Re-announce the operating point (static path included) so
-    // interval samplers can integrate mean frequency from the
-    // window's start without waiting for the first ramp.
+    // Re-announce the operating point so interval samplers can
+    // integrate mean frequency from the window's start without
+    // waiting for the first ramp.
     if (_observer)
-        _observer->onFreqChange(_id, _sim.now(), _effFreq.hz());
+        _observer->onFreqChange(_id, _sim.now(), _op->effFreq.hz());
 }
 
 } // namespace aw::server

@@ -15,11 +15,13 @@
  * (the misprediction cost that makes deep states dangerous for
  * irregular traffic -- and that AgileWatts makes nearly free).
  *
- * The per-event inner loop is de-virtualized: the core's operating
- * frequency, per-state transition latencies (C6 entry's dynamic
- * cache-flush component excepted), per-state resident powers and the
- * per-state descriptor attributes it consults per idle period are
- * all precomputed into flat tables at construction, so steady-state
+ * The per-event inner loop is de-virtualized: every core runs on a
+ * P-state ladder level, and each level's operating frequency,
+ * per-state transition latencies (C6 entry's dynamic cache-flush
+ * component excepted) and active powers sit in an OperatingPoints
+ * table ServerSim builds once per server and every core shares. The
+ * per-state resident powers and descriptor attributes a core
+ * consults per idle period are flat tables too, so steady-state
  * events never re-derive them through the model layers.
  */
 
@@ -55,11 +57,34 @@ struct StatePowers
 {
     std::array<power::Watts, cstate::kNumCStates> idle{};
     power::Watts activeP1 = 4.0;
-    power::Watts activePn = 1.0;
     power::Watts activeBoost = 7.0;
 
     /** Build from descriptors + the live PPA model. */
     static StatePowers fromModels(const core::AwPpaModel &ppa);
+};
+
+/** Hot-loop tables of one P-state ladder level. */
+struct LevelTables
+{
+    sim::Frequency effFreq; //!< AW's ~1% gate IR-drop applied
+    std::array<cstate::TransitionLatency, cstate::kNumCStates> lat{};
+    cstate::TransitionLatency latC6Fixed; //!< C6 minus live flush
+    power::Watts activePower = 0.0;    //!< profile-scaled
+    power::Watts activeUnscaled = 0.0; //!< turbo sustain anchor
+};
+
+/**
+ * The operating points every core of one server runs on: one
+ * LevelTables per freq::PStateLadder level (0 = Pn, top() = P1) and
+ * the LatencyQoS frequency floor. Built once per server by
+ * ServerSim::operatingPoints(); cores hold it by const reference.
+ */
+struct OperatingPoints
+{
+    std::vector<LevelTables> levels;
+    std::size_t floor = 0; //!< LatencyQoS frequency floor
+
+    std::size_t top() const { return levels.size() - 1; }
 };
 
 /** Completion callback: (request, end_to_end_extra). */
@@ -84,12 +109,14 @@ class CoreSim
     /**
      * @param simr          the shared simulator
      * @param cfg           server configuration
+     * @param points        the server's per-level tables (must
+     *                      outlive the core)
      * @param governor      idle-governance prototype; the core
      *                      clone()s its own private instance
      * @param freq_proto    frequency-governance prototype (also
-     *                      cloned per core); nullptr keeps the
-     *                      legacy static operating point
-     * @param aw            shared AW constants (latencies, PPA)
+     *                      cloned per core); nullptr pins the top
+     *                      level, or level 0 under cfg.runAtPn
+     * @param aw            shared AW constants (snoop latencies)
      * @param profile       workload profile
      * @param per_core_rate this core's arrival rate (req/s);
      *                      0 disables internal generation (the
@@ -98,6 +125,7 @@ class CoreSim
      * @param on_complete   invoked at each request completion
      */
     CoreSim(sim::Simulator &simr, const ServerConfig &cfg,
+            const OperatingPoints &points,
             const cstate::GovernorPolicy &governor,
             const freq::FreqPolicy *freq_proto,
             const core::AwCoreModel &aw,
@@ -147,9 +175,7 @@ class CoreSim
      * which in turn bounds the governor's request -- and a nap of
      * @p nap_len is injected per @p nap_period of non-nap time at
      * service boundaries (intel_powerclamp-style forced idle in the
-     * deepest enabled state). Requires the cap subsystem enabled at
-     * construction (cfg.cap.enabled()), which builds the ladder
-     * tables even without a frequency governor.
+     * deepest enabled state).
      */
     void setCapState(std::size_t level_cap, sim::Tick nap_len,
                      sim::Tick nap_period);
@@ -184,26 +210,14 @@ class CoreSim
         return _depth[cstate::index(_idleState)];
     }
 
-    /** This core's private idle-governance instance. */
-    const cstate::GovernorPolicy &governor() const
+    /** Operating frequency of the applied ladder level (AW's ~1%
+     *  gate IR-drop applied). */
+    sim::Frequency effectiveBaseFrequency() const
     {
-        return *_governor;
+        return _op->effFreq;
     }
 
-    /** Effective base frequency (AW's ~1% gate IR-drop applied).
-     *  Under a frequency governor this is the live operating point
-     *  of the currently applied ladder level. */
-    sim::Frequency effectiveBaseFrequency() const { return _effFreq; }
-
-    /** @{ DVFS governance state (null policy = static path). */
-    const freq::FreqPolicy *freqPolicy() const
-    {
-        return _freqPolicy.get();
-    }
-    std::size_t freqLevel() const { return _curLevel; }
-    std::size_t freqFloorLevel() const { return _minLevel; }
-
-    /** Completed P-state ramps / their fixed energy, both counted
+    /** @{ Completed P-state ramps / their fixed energy, both counted
      *  over the current statistics window. */
     std::uint64_t freqTransitions() const
     {
@@ -255,19 +269,9 @@ class CoreSim
     /** @{ DVFS governance. The policy's chosen level is clamped to
      *  the LatencyQoS floor and lands after freq::kRampLatency; the
      *  old level's tables stay live for the ramp window, and a
-     *  retarget mid-ramp coalesces into the in-flight ramp. All of
-     *  it is bypassed (single null test) on the static path. */
-
-    /** Per-ladder-level precomputed hot-loop tables. */
-    struct LevelTables
-    {
-        sim::Frequency effFreq;
-        std::array<cstate::TransitionLatency, cstate::kNumCStates>
-            lat{};
-        cstate::TransitionLatency latC6Fixed;
-        power::Watts activePower = 0.0;    //!< profile-scaled
-        power::Watts activeUnscaled = 0.0; //!< turbo sustain anchor
-    };
+     *  retarget mid-ramp coalesces into the in-flight ramp. A core
+     *  with no policy skips all of it (single null test) and only
+     *  the cap controller moves its level. */
 
     /** The level the core is moving toward (or sitting at). */
     std::size_t targetLevel() const
@@ -321,32 +325,30 @@ class CoreSim
     /** Power of the current machine state. */
     power::Watts currentPower() const;
 
-    /** Full transition latency of @p state at the core's fixed
-     *  operating point. All states but C6 come straight from the
-     *  table built at construction; C6 adds the live cache-flush
-     *  cost (its dirty fraction follows workload behaviour) to the
-     *  precomputed fixed entry path. */
+    /** Full transition latency of @p state at the applied level.
+     *  All states but C6 come straight from the level's table; C6
+     *  adds the live cache-flush cost (its dirty fraction follows
+     *  workload behaviour) to the precomputed fixed entry path. */
     cstate::TransitionLatency
     latencyOf(cstate::CStateId state) const
     {
         if (state == cstate::CStateId::C6) {
-            cstate::TransitionLatency lat = _latC6Fixed;
-            lat.entry += _caches.flushTime(_effFreq);
+            cstate::TransitionLatency lat = _op->latC6Fixed;
+            lat.entry += _caches.flushTime(_op->effFreq);
             return lat;
         }
-        return _lat[cstate::index(state)];
+        return _op->lat[cstate::index(state)];
     }
 
     sim::Simulator &_sim;
     const ServerConfig &_cfg;
+    const OperatingPoints &_points;
     const core::AwCoreModel &_aw;
     const workload::WorkloadProfile &_profile;
     CompletionHook _onComplete;
 
     /** Per-core microarchitectural state. */
     uarch::PrivateCaches _caches;
-    uarch::CoreContext _context;
-    cstate::TransitionEngine _transitions;
     std::unique_ptr<cstate::GovernorPolicy> _governor;
     cstate::ResidencyCounters _residency;
     power::EnergyMeter _meter;
@@ -355,27 +357,22 @@ class CoreSim
     StatePowers _powers;
 
     /** @{ Constants precomputed at construction for the hot loop. */
-    sim::Frequency _effFreq;
-    std::array<cstate::TransitionLatency, cstate::kNumCStates> _lat{};
-    cstate::TransitionLatency _latC6Fixed; //!< C6 minus live flush
     std::array<bool, cstate::kNumCStates> _isAw{};
     std::array<int, cstate::kNumCStates> _depth{};
-    power::Watts _activePower = 0.0; //!< scaled P1-or-Pn active draw
-    power::Watts _boostPower = 0.0;  //!< scaled turbo draw
+    power::Watts _boostPower = 0.0; //!< scaled turbo draw
     cstate::CStateId _deepestEnabled = cstate::CStateId::C0;
     /** @} */
 
-    /** @{ DVFS governance (empty on the static path). */
+    /** @{ DVFS governance (null policy = pinned level). */
     std::unique_ptr<freq::FreqPolicy> _freqPolicy;
-    std::vector<LevelTables> _levels; //!< one per ladder level
+    const LevelTables *_op = nullptr; //!< the applied level's tables
     std::size_t _curLevel = 0;
     std::size_t _pendingLevel = 0;
-    std::size_t _minLevel = 0; //!< LatencyQoS frequency floor
     /** Last unclamped level request; re-issued when the cap ceiling
      *  moves so the point recovers once headroom returns. */
     std::size_t _wantLevel = 0;
     /** Cap-controller operating-point ceiling (SIZE_MAX, the
-     *  default, = unclamped; overrides _minLevel). */
+     *  default, = unclamped; overrides the QoS floor). */
     std::size_t _capLevel = static_cast<std::size_t>(-1);
     bool _rampInFlight = false;
     bool _busyNow = false;

@@ -47,9 +47,9 @@ ServerSim::buildCores(double per_core_rate)
         sim::fatal("ServerSim: need at least one core");
 
     // The core model is a shared immutable constant set; rebuilding
-    // it per server (it was a make_unique here) only re-derived the
-    // same numbers, which a sweep pays thousands of times.
-    _aw = &core::AwCoreModel::canonical();
+    // it per server would only re-derive the same numbers, which a
+    // sweep pays thousands of times.
+    const core::AwCoreModel &aw = core::AwCoreModel::canonical();
 
     // Keep the package model's PC0 power consistent with the
     // configured uncore power.
@@ -59,22 +59,17 @@ ServerSim::buildCores(double per_core_rate)
         _package = PackageCStateModel(_cfg.packageParams);
     }
 
-    // DVFS / PM-QoS resolution happens before the cores (which hold
-    // a reference to _cfg) are constructed. A latency SLO filters
-    // the enabled idle states down to wakes its budget absorbs and,
-    // on the static path, refuses a Pn pin the service budget cannot
-    // carry; the frequency floor for governed cores is derived
-    // per-core from the same LatencyQoS.
+    // Resolve DVFS / PM-QoS before the cores (which hold references
+    // to _cfg and _points) exist: the SLO filters the idle states,
+    // then one ladder yields the shared tables and the QoS floor. A
+    // floor above Pn refuses an ungoverned Pn pin (the core runs P1).
     _cfg.pstates.validate();
-    if (_cfg.sloUs > 0.0) {
-        const freq::LatencyQoS qos{_cfg.sloUs};
-        _cfg.cstates = qos.admissibleStates(_cfg.cstates);
-        if (_cfg.runAtPn && _cfg.freqPolicy.empty()) {
-            const freq::PStateLadder ladder(_cfg.pstates);
-            if (qos.frequencyFloor(ladder, _profile.service()) > 0)
-                _cfg.runAtPn = false;
-        }
-    }
+    _cfg.cstates =
+        freq::LatencyQoS{_cfg.sloUs}.admissibleStates(_cfg.cstates);
+    const freq::PStateLadder ladder(_cfg.pstates);
+    _points = operatingPoints(_cfg, ladder, _profile, aw);
+    if (_cfg.runAtPn && _cfg.freqPolicy.empty() && _points.floor > 0)
+        _cfg.runAtPn = false;
 
     // Power cap + thermal coupling: validated here, armed in run().
     // The controller and thermal model exist only when enabled, so
@@ -83,7 +78,7 @@ ServerSim::buildCores(double per_core_rate)
     _cfg.cap.validate();
     if (_cfg.cap.enabled()) {
         _capCtl = std::make_unique<cap::PowerCapController>(
-            _cfg.cap, freq::PStateLadder(_cfg.pstates).count());
+            _cfg.cap, ladder.count());
         _capDecision = _capCtl->decision();
         if (_cfg.cap.thermalEnabled) {
             _thermal = std::make_unique<cap::RcThermalModel>(
@@ -97,18 +92,16 @@ ServerSim::buildCores(double per_core_rate)
     const auto governor_proto =
         cstate::makeGovernor(_cfg.governor, _cfg.cstates);
     std::unique_ptr<freq::FreqPolicy> freq_proto;
-    if (!_cfg.freqPolicy.empty()) {
-        freq_proto = freq::makeFreqPolicy(
-            _cfg.freqPolicy, freq::PStateLadder(_cfg.pstates));
-    }
+    if (!_cfg.freqPolicy.empty())
+        freq_proto = freq::makeFreqPolicy(_cfg.freqPolicy, ladder);
 
     _latency.reserve(1 << 16);
     _coreIdle.assign(_cfg.cores, 0);
     _coreDeep.assign(_cfg.cores, 0);
     for (unsigned i = 0; i < _cfg.cores; ++i) {
         _cores.push_back(std::make_unique<CoreSim>(
-            _sim, _cfg, *governor_proto, freq_proto.get(), *_aw,
-            _profile, per_core_rate, i,
+            _sim, _cfg, _points, *governor_proto, freq_proto.get(),
+            aw, _profile, per_core_rate, i,
             [this, i](const workload::Request &req) {
                 const double us = sim::toUs(req.serverLatency());
                 _latency.add(us);
@@ -122,6 +115,45 @@ ServerSim::buildCores(double per_core_rate)
         }
     }
     _uncoreMeter.setPower(0, _cfg.uncorePower);
+}
+
+OperatingPoints
+ServerSim::operatingPoints(const ServerConfig &cfg,
+                           const freq::PStateLadder &ladder,
+                           const workload::WorkloadProfile &profile,
+                           const core::AwCoreModel &aw)
+{
+    // A fresh core's caches and context. C6 entry's flush share is
+    // left out: each core adds it live from its own caches.
+    const auto caches = uarch::PrivateCaches::skylakeServer();
+    const uarch::CoreContext context;
+    const cstate::TransitionEngine transitions(
+        caches, context, aw.controller().awLatencies());
+    const double degrade =
+        cfg.cstates.usesAgileWatts()
+            ? 1.0 - core::Ufpg::kFrequencyDegradation
+            : 1.0;
+    const double scale = profile.activePowerScale();
+
+    OperatingPoints points;
+    points.levels.resize(ladder.count());
+    for (std::size_t l = 0; l < ladder.count(); ++l) {
+        LevelTables &t = points.levels[l];
+        t.effFreq = sim::Frequency(ladder.frequency(l).hz() * degrade);
+        for (std::size_t i = 0; i < cstate::kNumCStates; ++i) {
+            const auto id = static_cast<cstate::CStateId>(i);
+            if (id != cstate::CStateId::C6)
+                t.lat[i] = transitions.latency(id, t.effFreq);
+        }
+        t.latC6Fixed =
+            transitions.latency(cstate::CStateId::C6, t.effFreq);
+        t.latC6Fixed.entry -= caches.flushTime(t.effFreq);
+        t.activeUnscaled = ladder.activePower(l);
+        t.activePower = t.activeUnscaled * scale;
+    }
+    points.floor = freq::LatencyQoS{cfg.sloUs}.frequencyFloor(
+        ladder, profile.service());
+    return points;
 }
 
 void

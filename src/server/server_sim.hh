@@ -63,10 +63,10 @@ struct RunResult
     double transitionsPerRequest = 0.0;
 
     /** @{ DVFS governance accounting over the measured window: the
-     *  number of completed P-state ramps across all cores, the fixed
-     *  relock energy they were charged (already inside coreEnergy),
-     *  and the core-time mean operating frequency. All zero /
-     *  the static operating point on the legacy path. */
+     *  number of completed P-state ramps across all cores and the
+     *  fixed relock energy they were charged (already inside
+     *  coreEnergy). Both are zero for a pinned level (no frequency
+     *  governor, no cap). */
     std::uint64_t freqTransitions = 0;
     power::Joules freqTransitionEnergyJ = 0.0;
     /** @} */
@@ -125,7 +125,16 @@ class ServerSim
     /** Convenience: run with defaults sized to the offered rate. */
     RunResult run();
 
-    const core::AwCoreModel &awModel() const { return *_aw; }
+    /** The tables every core of a server with the SLO-resolved
+     *  @p cfg runs on, derived in one pass over @p ladder (per-level
+     *  frequency, latencies and active power, plus the QoS floor).
+     *  buildCores calls it once per server. */
+    static OperatingPoints
+    operatingPoints(const ServerConfig &cfg,
+                    const freq::PStateLadder &ladder,
+                    const workload::WorkloadProfile &profile,
+                    const core::AwCoreModel &aw);
+
     const ServerConfig &config() const { return _cfg; }
 
     /** Kernel events executed so far (perf telemetry). */
@@ -188,7 +197,7 @@ class ServerSim
     double _totalQps;
 
     sim::Simulator _sim;
-    const core::AwCoreModel *_aw = nullptr;
+    OperatingPoints _points; //!< shared by every core
     std::vector<std::unique_ptr<CoreSim>> _cores;
     sim::PercentileTracker _latency;
 

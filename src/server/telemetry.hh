@@ -230,6 +230,16 @@ class TelemetryFanout final : public TelemetryObserver
             _sinks.push_back(sink);
     }
 
+    /** The observer to attach: nullptr with no sink, the sink itself
+     *  when there is exactly one (it keeps its direct dispatch), or
+     *  this fan-out. */
+    TelemetryObserver *target()
+    {
+        if (_sinks.size() > 1)
+            return this;
+        return _sinks.empty() ? nullptr : _sinks.front();
+    }
+
     void onMeasurementStart(sim::Tick now) override
     {
         for (auto *s : _sinks)

@@ -199,6 +199,21 @@ TEST(AwperfTool, UnknownScenarioFailsWithKnownList)
     EXPECT_NE(out.find("fleet_sweep"), std::string::npos);
 }
 
+TEST(AwperfTool, MalformedRepeatFailsBeforeRunning)
+{
+    // A trailing junk suffix must not parse as its numeric prefix,
+    // and a negative count must not wrap to ~4e9 repeats.
+    for (const char *bad : {"1x", "-1"}) {
+        const auto [code, out] =
+            runCommand(std::string(AWPERF_BIN) + " --repeat " + bad +
+                       " --scenarios single_memcached");
+        EXPECT_NE(code, 0) << bad;
+        EXPECT_NE(out.find("bad value"), std::string::npos) << bad;
+        EXPECT_EQ(out.find("awperf scenarios="), std::string::npos)
+            << bad;
+    }
+}
+
 TEST(AwperfTool, JsonArtifactMatchesTheLibraryRendering)
 {
     const std::string path = tmpPath("awperf_schema_test.json");

@@ -8,7 +8,9 @@
 #include <vector>
 
 #include "cstate/governors.hh"
+#include "freq/freq_policy.hh"
 #include "server/core_sim.hh"
+#include "server/server_sim.hh"
 #include "workload/profiles.hh"
 
 namespace {
@@ -23,8 +25,11 @@ struct CoreHarness
                          double per_core_rate = 5000.0)
         : cfg(std::move(config)),
           profile(workload::WorkloadProfile::memcached()),
+          points(ServerSim::operatingPoints(
+              cfg, freq::PStateLadder(cfg.pstates), profile,
+              aw_model)),
           governor(cstate::makeGovernor(cfg.governor, cfg.cstates)),
-          core(simr, cfg, *governor, /*freq_proto=*/nullptr,
+          core(simr, cfg, points, *governor, /*freq_proto=*/nullptr,
                aw_model, profile, per_core_rate, 0,
                [this](const workload::Request &req) {
                    latencies.push_back(toUs(req.serverLatency()));
@@ -36,6 +41,7 @@ struct CoreHarness
     ServerConfig cfg;
     core::AwCoreModel aw_model;
     workload::WorkloadProfile profile;
+    OperatingPoints points;
     std::unique_ptr<cstate::GovernorPolicy> governor;
     std::vector<double> latencies;
     CoreSim core;
@@ -205,6 +211,28 @@ TEST_P(CoreSimConfigs, InvariantsHold)
     EXPECT_GT(h.core.requestsCompleted(), 0u);
     EXPECT_NEAR(h.core.residency().totalShare(), 1.0, 1e-6);
     EXPECT_GT(h.core.averagePower(), 0.0);
+}
+
+TEST_P(CoreSimConfigs, PinsTheLadderEndpointExactly)
+{
+    // With no frequency governor a core pins the ladder's top level
+    // (P1), or level 0 (Pn) under runAtPn; either way its operating
+    // point is that level's frequency times the AW degradation,
+    // bit for bit.
+    for (const bool pn : {false, true}) {
+        ServerConfig cfg = GetParam().make();
+        cfg.runAtPn = pn;
+        const freq::PStateLadder ladder(cfg.pstates);
+        const double degrade =
+            cfg.cstates.usesAgileWatts()
+                ? 1.0 - core::Ufpg::kFrequencyDegradation
+                : 1.0;
+        const double expect =
+            ladder.frequency(pn ? 0 : ladder.top()).hz() * degrade;
+        CoreHarness h(cfg);
+        EXPECT_EQ(h.core.effectiveBaseFrequency().hz(), expect)
+            << (pn ? "Pn" : "P1");
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "cstate/config.hh"
 #include "cstate/cstate.hh"
@@ -30,21 +33,29 @@ using namespace aw::sim;
 
 TEST(PStateLadder, SpansPnToBaseWithAnchoredPowers)
 {
-    const PStateLadder ladder(server::PStateTable::xeonSilver4114());
-    ASSERT_EQ(ladder.count(), PStateLadder::kMaxLevels);
-    // Level 0 = Pn, top = P1, frequencies strictly increasing.
-    EXPECT_DOUBLE_EQ(ladder.frequency(0).gigahertz(), 0.8);
-    EXPECT_DOUBLE_EQ(ladder.frequency(ladder.top()).gigahertz(), 2.2);
-    for (std::size_t i = 1; i < ladder.count(); ++i) {
-        EXPECT_GT(ladder.frequency(i).hz(),
-                  ladder.frequency(i - 1).hz());
-        EXPECT_GT(ladder.activePower(i), ladder.activePower(i - 1));
+    // The Xeon table and bench_fig8's 2.0 GHz base, where the cubic
+    // fit alone leaves level 0 one ulp below 1 W.
+    server::PStateTable fig8 = server::PStateTable::xeonSilver4114();
+    fig8.base = sim::Frequency::ghz(2.0);
+    for (const auto &table :
+         {server::PStateTable::xeonSilver4114(), fig8}) {
+        const PStateLadder ladder(table);
+        ASSERT_EQ(ladder.count(), PStateLadder::kMaxLevels);
+        // Level 0 = Pn, top = P1, frequencies strictly increasing.
+        for (std::size_t i = 1; i < ladder.count(); ++i) {
+            EXPECT_GT(ladder.frequency(i).hz(),
+                      ladder.frequency(i - 1).hz());
+            EXPECT_GT(ladder.activePower(i),
+                      ladder.activePower(i - 1));
+        }
+        // The endpoints are the table's points at the Table 1
+        // powers exactly, so a pinned level is the operating point
+        // the table names, bit for bit.
+        EXPECT_EQ(ladder.frequency(0).hz(), table.minimum.hz());
+        EXPECT_EQ(ladder.frequency(ladder.top()).hz(), table.base.hz());
+        EXPECT_EQ(ladder.activePower(0), cstate::kC0PowerPn);
+        EXPECT_EQ(ladder.activePower(ladder.top()), cstate::kC0PowerP1);
     }
-    // The cubic fit is anchored on the Table 1 points, so the legacy
-    // static operating points are reproduced bit for bit.
-    EXPECT_DOUBLE_EQ(ladder.activePower(ladder.top()),
-                     cstate::kC0PowerP1);
-    EXPECT_DOUBLE_EQ(ladder.activePower(0), cstate::kC0PowerPn);
 }
 
 TEST(PStateLadder, DegenerateTableCollapsesToOneLevel)
@@ -255,17 +266,48 @@ runServer(server::ServerConfig cfg, double qps = 200e3)
     return srv.run(sim::fromSec(0.3), sim::fromSec(0.03));
 }
 
+/** Exact bit pattern of a double: equal bits, not merely within a
+ *  few ulps. */
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
 void
 expectIdenticalRuns(const server::RunResult &a,
                     const server::RunResult &b)
 {
     EXPECT_EQ(a.requests, b.requests);
-    EXPECT_DOUBLE_EQ(a.avgLatencyUs, b.avgLatencyUs);
-    EXPECT_DOUBLE_EQ(a.p99LatencyUs, b.p99LatencyUs);
-    EXPECT_DOUBLE_EQ(a.packagePower, b.packagePower);
-    EXPECT_DOUBLE_EQ(a.coreEnergy, b.coreEnergy);
-    EXPECT_DOUBLE_EQ(a.residency.totalShare(),
-                     b.residency.totalShare());
+    EXPECT_EQ(a.mispredictedEntries, b.mispredictedEntries);
+    EXPECT_EQ(a.events, b.events);
+    EXPECT_EQ(a.window, b.window);
+    const auto pairs = {
+        std::pair{a.offeredQps, b.offeredQps},
+        std::pair{a.avgLatencyUs, b.avgLatencyUs},
+        std::pair{a.p99LatencyUs, b.p99LatencyUs},
+        std::pair{a.p999LatencyUs, b.p999LatencyUs},
+        std::pair{a.avgLatencyE2eUs, b.avgLatencyE2eUs},
+        std::pair{a.p99LatencyE2eUs, b.p99LatencyE2eUs},
+        std::pair{a.avgCorePower, b.avgCorePower},
+        std::pair{a.packagePower, b.packagePower},
+        std::pair{a.coreEnergy, b.coreEnergy},
+        std::pair{a.achievedQps, b.achievedQps},
+        std::pair{a.transitionsPerRequest, b.transitionsPerRequest},
+        std::pair{a.freqTransitionEnergyJ, b.freqTransitionEnergyJ},
+        std::pair{a.capThrottleShare, b.capThrottleShare},
+        std::pair{a.maxTempC, b.maxTempC},
+        std::pair{a.avgUncorePower, b.avgUncorePower},
+    };
+    for (const auto &[x, y] : pairs)
+        EXPECT_EQ(bits(x), bits(y));
+    for (std::size_t i = 0; i < cstate::kNumCStates; ++i) {
+        EXPECT_EQ(bits(a.residency.share[i]),
+                  bits(b.residency.share[i]));
+        EXPECT_EQ(a.residency.entries[i], b.residency.entries[i]);
+    }
+    for (std::size_t i = 0; i < server::kNumPkgCStates; ++i)
+        EXPECT_EQ(bits(a.pkgResidency[i]), bits(b.pkgResidency[i]));
 }
 
 TEST(FreqEndToEnd, PerformanceGovernorIsTheLegacyStaticPath)

@@ -429,6 +429,23 @@ TEST(TelemetryFanout, BothSinksSeeTheIdenticalTrace)
     EXPECT_GT(one.series().emitted, 0u);
 }
 
+TEST(TelemetryFanout, TargetIsNullTheSingleSinkOrItself)
+{
+    RequestTracer one(TraceConfig{}, 1);
+    RequestTracer two(TraceConfig{}, 1);
+    server::TelemetryFanout none;
+    none.add(nullptr);
+    EXPECT_EQ(none.target(), nullptr);
+    server::TelemetryFanout single;
+    single.add(nullptr);
+    single.add(&one);
+    EXPECT_EQ(single.target(), &one);
+    server::TelemetryFanout both;
+    both.add(&one);
+    both.add(&two);
+    EXPECT_EQ(both.target(), &both);
+}
+
 TEST(RequestTracer, TracingIsPassiveOnAServerRun)
 {
     auto cfg = exp::configByName("c1c6");

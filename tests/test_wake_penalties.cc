@@ -12,7 +12,9 @@
 #include <vector>
 
 #include "cstate/governors.hh"
+#include "freq/freq_policy.hh"
 #include "server/core_sim.hh"
+#include "server/server_sim.hh"
 #include "workload/profiles.hh"
 #include "workload/service.hh"
 
@@ -38,8 +40,11 @@ struct Harness
 {
     explicit Harness(ServerConfig config)
         : cfg(std::move(config)), profile(probeProfile()),
+          points(ServerSim::operatingPoints(
+              cfg, freq::PStateLadder(cfg.pstates), profile,
+              aw_model)),
           governor(cstate::makeGovernor(cfg.governor, cfg.cstates)),
-          core(simr, cfg, *governor, /*freq_proto=*/nullptr,
+          core(simr, cfg, points, *governor, /*freq_proto=*/nullptr,
                aw_model, profile, 200.0, 0,
                [this](const workload::Request &req) {
                    latencies.push_back(
@@ -67,6 +72,7 @@ struct Harness
     ServerConfig cfg;
     core::AwCoreModel aw_model;
     workload::WorkloadProfile profile;
+    OperatingPoints points;
     std::unique_ptr<cstate::GovernorPolicy> governor;
     std::vector<double> latencies;
     CoreSim core;

@@ -20,7 +20,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -28,6 +27,8 @@
 #include "exp/emit.hh"
 #include "exp/perf.hh"
 #include "sim/logging.hh"
+
+#include "cli.hh"
 
 namespace {
 
@@ -44,26 +45,6 @@ usage()
         "                    best wall clock (default 3)\n"
         "  --json FILE       write the aw-perf/1 JSON document\n"
         "  --quiet           no summary table, just artifacts\n");
-}
-
-std::vector<std::string>
-splitList(const std::string &arg)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= arg.size()) {
-        const std::size_t comma = arg.find(',', start);
-        const std::string item =
-            arg.substr(start, comma == std::string::npos
-                                  ? std::string::npos
-                                  : comma - start);
-        if (!item.empty())
-            out.push_back(item);
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
 }
 
 } // namespace
@@ -92,10 +73,9 @@ main(int argc, char **argv)
                             s.description.c_str());
             return 0;
         } else if (arg == "--scenarios" || arg == "--scenario") {
-            names = splitList(next(arg.c_str()));
+            names = cli::splitList(next(arg.c_str()));
         } else if (arg == "--repeat") {
-            repeat = static_cast<unsigned>(
-                std::strtoul(next("--repeat"), nullptr, 10));
+            repeat = cli::parseUnsigned("--repeat", next("--repeat"));
             if (repeat == 0)
                 sim::fatal("--repeat must be >= 1");
         } else if (arg == "--json") {

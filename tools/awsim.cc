@@ -16,12 +16,7 @@
  * Run `awsim --help` for the knob list.
  */
 
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -38,9 +33,12 @@
 #include "workload/profiles.hh"
 #include "workload/trace.hh"
 
+#include "cli.hh"
+
 namespace {
 
 using namespace aw;
+using namespace aw::cli;
 using exp::configByName;
 using exp::profileByName;
 
@@ -139,46 +137,6 @@ usage()
         "                    (default: one epoch; results are "
         "identical\n"
         "                    for any value)\n");
-}
-
-/** Parse a non-negative integer flag value or die. */
-unsigned
-parseUnsigned(const char *flag, const char *value)
-{
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long v = std::strtoul(value, &end, 10);
-    if (end == value || *end != '\0' || value[0] == '-' ||
-        errno == ERANGE ||
-        v > std::numeric_limits<unsigned>::max()) {
-        sim::fatal("%s: bad value '%s'", flag, value);
-    }
-    return static_cast<unsigned>(v);
-}
-
-/** Parse a floating-point flag value or die. */
-double
-parseDouble(const char *flag, const char *value)
-{
-    char *end = nullptr;
-    const double v = std::strtod(value, &end);
-    if (end == value || *end != '\0' || !std::isfinite(v))
-        sim::fatal("%s: bad value '%s'", flag, value);
-    return v;
-}
-
-/** Parse a 64-bit unsigned flag value or die. */
-std::uint64_t
-parseUint64(const char *flag, const char *value)
-{
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0' || value[0] == '-' ||
-        errno == ERANGE) {
-        sim::fatal("%s: bad value '%s'", flag, value);
-    }
-    return v;
 }
 
 /** --timeline/--timeline-json/--timeline-interval, resolved. */
@@ -646,15 +604,9 @@ main(int argc, char **argv)
         recorder.emplace(timeline.config(), cfg.cores);
     if (reqtrace.enabled())
         tracer.emplace(analysis::TraceConfig{}, cfg.cores);
-    if (recorder && tracer) {
-        fanout.add(&*recorder);
-        fanout.add(&*tracer);
-        srv.setObserver(&fanout);
-    } else if (recorder) {
-        srv.setObserver(&*recorder);
-    } else if (tracer) {
-        srv.setObserver(&*tracer);
-    }
+    fanout.add(recorder ? &*recorder : nullptr);
+    fanout.add(tracer ? &*tracer : nullptr);
+    srv.setObserver(fanout.target());
     const auto r =
         seconds > 0.0
             ? srv.run(sim::fromSec(seconds),

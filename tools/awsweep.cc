@@ -20,12 +20,7 @@
  * Run `awsweep --help` for the full knob list.
  */
 
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -36,9 +31,12 @@
 #include "exp/spec.hh"
 #include "sim/logging.hh"
 
+#include "cli.hh"
+
 namespace {
 
 using namespace aw;
+using namespace aw::cli;
 
 void
 usage()
@@ -111,60 +109,6 @@ usage()
         "  --trace-requests-json FILE  the same attributions as "
         "JSON\n"
         "                    (full all/p99/p99.9 cohort objects)\n");
-}
-
-std::vector<std::string>
-splitList(const std::string &arg)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= arg.size()) {
-        const std::size_t comma = arg.find(',', start);
-        const std::string item =
-            arg.substr(start, comma == std::string::npos
-                                  ? std::string::npos
-                                  : comma - start);
-        if (!item.empty())
-            out.push_back(item);
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
-}
-
-unsigned
-parseUnsigned(const char *flag, const char *value)
-{
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long v = std::strtoul(value, &end, 10);
-    if (end == value || *end != '\0' || value[0] == '-' ||
-        errno == ERANGE || v > std::numeric_limits<unsigned>::max())
-        sim::fatal("%s: bad value '%s'", flag, value);
-    return static_cast<unsigned>(v);
-}
-
-double
-parseDouble(const char *flag, const char *value)
-{
-    char *end = nullptr;
-    const double v = std::strtod(value, &end);
-    if (end == value || *end != '\0' || !std::isfinite(v))
-        sim::fatal("%s: bad value '%s'", flag, value);
-    return v;
-}
-
-std::uint64_t
-parseUint64(const char *flag, const char *value)
-{
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0' || value[0] == '-' ||
-        errno == ERANGE)
-        sim::fatal("%s: bad value '%s'", flag, value);
-    return static_cast<std::uint64_t>(v);
 }
 
 } // namespace
