@@ -11,9 +11,12 @@
 # keeps. A function no executable keeps is either dead or reached
 # only from tests.
 #
-# The report is informational: the script exits 0 whatever it lists.
-# Header-only functions that nothing calls are never emitted at all,
-# so they do not show up here.
+# The report gates: every listed function must be named in
+# scripts/dead_code_allow.txt (qualified name without its signature,
+# then a reason), or the script exits 1. Allow-list entries no
+# longer listed are reported as stale but do not fail. Header-only
+# functions that nothing calls are never emitted at all, so they do
+# not show up here.
 #
 # Usage:
 #   scripts/dead_code.sh
@@ -56,4 +59,15 @@ comm -23 "$tmp/defined" "$tmp/kept" >"$tmp/dead"
 echo "aw:: functions in libaw.a that no executable keeps:" \
      "$(wc -l <"$tmp/dead")"
 cat "$tmp/dead"
-exit 0
+
+# Qualified names: drop ABI tags, then cut at the parameter list.
+grep -v '^#' "$ROOT/scripts/dead_code_allow.txt" | awk 'NF { print $1 }' |
+    sort -u >"$tmp/allowed"
+sed -E 's/\[abi:[^]]*\]//g; s/\(.*$//' "$tmp/dead" | sort -u >"$tmp/names"
+comm -13 "$tmp/names" "$tmp/allowed" | sed 's/^/stale allow-list entry: /'
+comm -23 "$tmp/names" "$tmp/allowed" >"$tmp/unlisted"
+if [ -s "$tmp/unlisted" ]; then
+    echo "not in scripts/dead_code_allow.txt (delete or allow-list):"
+    cat "$tmp/unlisted"
+    exit 1
+fi

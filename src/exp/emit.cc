@@ -77,74 +77,89 @@ static_assert(sizeof(kResidencyColumns) /
               cstate::kNumCStates);
 
 /**
- * Optional coordinate columns (DVFS and power-cap axes) appear only
- * when the spec actually swept the corresponding axis, so artifacts
- * of specs without a frequency or cap axis (every pre-DVFS and
- * pre-cap spec) stay byte-identical.
+ * One grid coordinate as an artifact column. Every emitter opens
+ * its header, rows and point objects with these columns.
  */
-struct AxisColumns
+struct Coordinate
 {
-    explicit AxisColumns(const SweepResult &result)
-        : freq(!result.spec.freqPolicies.empty()),
-          slo(!result.spec.sloUs.empty()),
-          cap(!result.spec.capWatts.empty())
-    {}
-
-    /** Append ",freq_policy" / ",slo_us" / ",cap_w" headers. */
-    void header(std::string &out) const
-    {
-        if (freq)
-            out += ",freq_policy";
-        if (slo)
-            out += ",slo_us";
-        if (cap)
-            out += ",cap_w";
-    }
-
-    /** Append this point's optional-coordinate CSV fields. */
-    void csv(std::string &out, const GridPoint &pt) const
-    {
-        if (freq) {
-            out += ',';
-            out += csvField(pt.freqPolicy);
-        }
-        if (slo) {
-            out += ',';
-            out += num(pt.sloUs);
-        }
-        if (cap) {
-            out += ',';
-            out += num(pt.capWatts);
-        }
-    }
-
-    /** Append the '"freq_policy": ..., ' JSON members. */
-    void json(std::string &out, const GridPoint &pt) const
-    {
-        if (freq)
-            out +=
-                "\"freq_policy\": " + jsonString(pt.freqPolicy) +
-                ", ";
-        if (slo)
-            out += "\"slo_us\": " + num(pt.sloUs) + ", ";
-        if (cap)
-            out += "\"cap_w\": " + num(pt.capWatts) + ", ";
-    }
-
-    bool freq;
-    bool slo;
-    bool cap;
+    const char *name;
+    /** nullptr = always carried; otherwise carried only when this
+     *  says the spec swept the axis, so artifacts of specs without
+     *  a frequency, SLO or cap axis keep their pre-axis schema. */
+    bool (*swept)(const ExperimentSpec &);
+    bool isString; //!< CSV-escaped / JSON-quoted
+    std::string (*value)(const GridPoint &);
 };
+
+/** Every coordinate, in artifact column order. */
+const Coordinate kCoordinates[] = {
+    {"index", nullptr, false,
+     [](const auto &p) { return std::to_string(p.index); }},
+    {"workload", nullptr, true, [](const auto &p) { return p.workload; }},
+    {"config", nullptr, true, [](const auto &p) { return p.config; }},
+    {"governor", nullptr, true, [](const auto &p) { return p.governor; }},
+    {"freq_policy", [](const auto &s) { return !s.freqPolicies.empty(); },
+     true, [](const auto &p) { return p.freqPolicy; }},
+    {"slo_us", [](const auto &s) { return !s.sloUs.empty(); }, false,
+     [](const auto &p) { return num(p.sloUs); }},
+    {"cap_w", [](const auto &s) { return !s.capWatts.empty(); }, false,
+     [](const auto &p) { return num(p.capWatts); }},
+    {"policy", nullptr, true, [](const auto &p) { return p.policy; }},
+    {"variant", nullptr, true, [](const auto &p) { return p.variant; }},
+    {"servers", nullptr, false,
+     [](const auto &p) { return std::to_string(p.servers); }},
+    {"qps", nullptr, false, [](const auto &p) { return num(p.qps); }},
+    {"replica", nullptr, false,
+     [](const auto &p) { return std::to_string(p.replica); }},
+};
+
+bool
+carried(const Coordinate &c, const ExperimentSpec &spec)
+{
+    return !c.swept || c.swept(spec);
+}
+
+/** The comma-joined coordinate column names. */
+std::string
+coordinateHeader(const ExperimentSpec &spec)
+{
+    std::string out;
+    for (const auto &c : kCoordinates)
+        if (carried(c, spec)) {
+            out += out.empty() ? "" : ",";
+            out += c.name;
+        }
+    return out;
+}
+
+/** The point's coordinates as CSV fields or as '"name": value' JSON
+ *  members (no leading or trailing separator). */
+std::string
+coordinates(const ExperimentSpec &spec, const GridPoint &pt, bool json)
+{
+    std::string out;
+    for (const auto &c : kCoordinates) {
+        if (!carried(c, spec))
+            continue;
+        if (!out.empty())
+            out += json ? ", " : ",";
+        const std::string v = c.value(pt);
+        if (json)
+            out += sim::strprintf("\"%s\": ", c.name) +
+                   (c.isString ? jsonString(v) : v);
+        else
+            out += c.isString ? csvField(v) : v;
+    }
+    return out;
+}
 
 } // namespace
 
 std::string
 csvHeader(const SweepResult &result)
 {
-    std::string h = "index,workload,config,governor";
-    AxisColumns(result).header(h);
-    h += ",policy,variant,servers,qps,"
-         "replica,seed,requests,achieved_qps,window_s,power_w,"
+    std::string h = coordinateHeader(result.spec);
+    h += ",seed,requests,achieved_qps,window_s,power_w,"
          "mj_per_request,avg_latency_us,p99_latency_us,deep_idle,"
          "min_server_deep,max_server_deep,busiest_share";
     for (const char *col : kResidencyColumns) {
@@ -165,20 +180,10 @@ toCsv(const SweepResult &result)
 {
     std::string out = csvHeader(result);
     out += '\n';
-    const AxisColumns dvfs(result);
     for (const auto &p : result.points) {
-        const auto &pt = p.point;
-        out += sim::strprintf("%zu,%s,%s,%s", pt.index,
-                              csvField(pt.workload).c_str(),
-                              csvField(pt.config).c_str(),
-                              csvField(pt.governor).c_str());
-        dvfs.csv(out, pt);
+        out += coordinates(result.spec, p.point, false);
         out += sim::strprintf(
-            ",%s,%s,%u,%s,%u,%llu,%llu",
-            csvField(pt.policy).c_str(),
-            csvField(pt.variant).c_str(), pt.servers,
-            num(pt.qps).c_str(), pt.replica,
-            static_cast<unsigned long long>(pt.seed),
+            ",%llu,%llu", static_cast<unsigned long long>(p.point.seed),
             static_cast<unsigned long long>(p.requests));
         for (const double v :
              {p.achievedQps, p.windowSeconds, p.powerW,
@@ -212,23 +217,13 @@ toJson(const SweepResult &result)
                           static_cast<unsigned long long>(spec.seed));
     out += sim::strprintf("  \"replicas\": %u,\n", spec.replicas);
     out += sim::strprintf("  \"points\": [");
-    const AxisColumns dvfs(result);
     for (std::size_t i = 0; i < result.points.size(); ++i) {
         const auto &p = result.points[i];
-        const auto &pt = p.point;
         out += i ? ",\n    {" : "\n    {";
-        out += sim::strprintf("\"index\": %zu, ", pt.index);
-        out += "\"workload\": " + jsonString(pt.workload) + ", ";
-        out += "\"config\": " + jsonString(pt.config) + ", ";
-        out += "\"governor\": " + jsonString(pt.governor) + ", ";
-        dvfs.json(out, pt);
-        out += "\"policy\": " + jsonString(pt.policy) + ", ";
-        out += "\"variant\": " + jsonString(pt.variant) + ", ";
+        out += coordinates(spec, p.point, true);
         out += sim::strprintf(
-            "\"servers\": %u, \"qps\": %s, \"replica\": %u, "
-            "\"seed\": %llu, \"requests\": %llu",
-            pt.servers, num(pt.qps).c_str(), pt.replica,
-            static_cast<unsigned long long>(pt.seed),
+            ", \"seed\": %llu, \"requests\": %llu",
+            static_cast<unsigned long long>(p.point.seed),
             static_cast<unsigned long long>(p.requests));
         const std::pair<const char *, double> metrics[] = {
             {"achieved_qps", p.achievedQps},
@@ -262,7 +257,7 @@ toJson(const SweepResult &result)
 
 namespace {
 
-/** Shared coordinate prefix of a timeline row/object. */
+/** The point's timeline; fatal() if it recorded none. */
 const analysis::TimelineSeries &
 pointTimeline(const PointResult &p)
 {
@@ -302,25 +297,13 @@ toTimelineCsv(const SweepResult &result)
                   static_cast<unsigned long long>(series.dropped),
                   static_cast<unsigned long long>(series.emitted));
     }
-    const AxisColumns dvfs(result);
-    out += "index,workload,config,governor";
-    dvfs.header(out);
-    out += ",policy,variant,servers,qps,replica,";
+    out += coordinateHeader(result.spec) + ',';
     out += analysis::timelineCsvHeader();
     out += '\n';
     for (const auto &p : result.points) {
         const auto &series = pointTimeline(p);
-        const auto &pt = p.point;
-        std::string prefix = sim::strprintf(
-            "%zu,%s,%s,%s", pt.index,
-            csvField(pt.workload).c_str(),
-            csvField(pt.config).c_str(),
-            csvField(pt.governor).c_str());
-        dvfs.csv(prefix, pt);
-        prefix += sim::strprintf(
-            ",%s,%s,%u,%s,%u,", csvField(pt.policy).c_str(),
-            csvField(pt.variant).c_str(), pt.servers,
-            num(pt.qps).c_str(), pt.replica);
+        const std::string prefix =
+            coordinates(result.spec, p.point, false) + ',';
         for (const auto &s : series.samples) {
             out += prefix;
             out += analysis::timelineCsvRow(series, s);
@@ -343,26 +326,16 @@ toTimelineJson(const SweepResult &result)
     out += sim::strprintf("  \"interval_s\": %s,\n",
                           num(spec.timelineIntervalSeconds).c_str());
     out += "  \"points\": [";
-    const AxisColumns dvfs(result);
     for (std::size_t i = 0; i < result.points.size(); ++i) {
         const auto &p = result.points[i];
         const auto &series = pointTimeline(p);
-        const auto &pt = p.point;
         out += i ? ",\n    {" : "\n    {";
-        out += sim::strprintf("\"index\": %zu, ", pt.index);
-        out += "\"workload\": " + jsonString(pt.workload) + ", ";
-        out += "\"config\": " + jsonString(pt.config) + ", ";
-        out += "\"governor\": " + jsonString(pt.governor) + ", ";
-        dvfs.json(out, pt);
-        out += "\"policy\": " + jsonString(pt.policy) + ", ";
-        out += "\"variant\": " + jsonString(pt.variant) + ", ";
+        out += coordinates(spec, p.point, true);
         out += sim::strprintf(
-            "\"servers\": %u, \"qps\": %s, \"replica\": %u, "
-            "\"cores\": %u, \"intervals_emitted\": %llu, "
+            ", \"cores\": %u, \"intervals_emitted\": %llu, "
             "\"intervals_dropped\": %llu, "
             "\"idle_observations\": %llu, "
             "\"idle_observation_mismatches\": %llu",
-            pt.servers, num(pt.qps).c_str(), pt.replica,
             series.cores,
             static_cast<unsigned long long>(series.emitted),
             static_cast<unsigned long long>(series.dropped),
@@ -410,11 +383,8 @@ toTraceCsv(const SweepResult &result)
 {
     std::string out =
         sim::strprintf("# %s\n", analysis::kTraceSchema);
-    const AxisColumns dvfs(result);
-    out += "index,workload,config,governor";
-    dvfs.header(out);
-    out += ",policy,variant,servers,"
-           "qps,replica,spans,emitted,dropped,p99_threshold_us,"
+    out += coordinateHeader(result.spec);
+    out += ",spans,emitted,dropped,p99_threshold_us,"
            "p999_threshold_us,p999_latency_us,all_wake_share,"
            "all_queue_share,all_service_share,all_routing_share,"
            "p99_mean_latency_us,p99_mean_wake_us,p99_mean_queue_us,"
@@ -429,17 +399,9 @@ toTraceCsv(const SweepResult &result)
     out += '\n';
     for (const auto &p : result.points) {
         const auto &attr = pointTrace(p);
-        const auto &pt = p.point;
-        out += sim::strprintf("%zu,%s,%s,%s", pt.index,
-                              csvField(pt.workload).c_str(),
-                              csvField(pt.config).c_str(),
-                              csvField(pt.governor).c_str());
-        dvfs.csv(out, pt);
+        out += coordinates(result.spec, p.point, false);
         out += sim::strprintf(
-            ",%s,%s,%u,%s,%u,%llu,%llu,%llu",
-            csvField(pt.policy).c_str(),
-            csvField(pt.variant).c_str(), pt.servers,
-            num(pt.qps).c_str(), pt.replica,
+            ",%llu,%llu,%llu",
             static_cast<unsigned long long>(attr.spans),
             static_cast<unsigned long long>(attr.emitted),
             static_cast<unsigned long long>(attr.dropped));
@@ -478,24 +440,14 @@ toTraceJson(const SweepResult &result)
                           static_cast<unsigned long long>(spec.seed));
     out += sim::strprintf("  \"replicas\": %u,\n", spec.replicas);
     out += "  \"points\": [";
-    const AxisColumns dvfs(result);
     for (std::size_t i = 0; i < result.points.size(); ++i) {
         const auto &p = result.points[i];
         const auto &attr = pointTrace(p);
-        const auto &pt = p.point;
         out += i ? ",\n    {" : "\n    {";
-        out += sim::strprintf("\"index\": %zu, ", pt.index);
-        out += "\"workload\": " + jsonString(pt.workload) + ", ";
-        out += "\"config\": " + jsonString(pt.config) + ", ";
-        out += "\"governor\": " + jsonString(pt.governor) + ", ";
-        dvfs.json(out, pt);
-        out += "\"policy\": " + jsonString(pt.policy) + ", ";
-        out += "\"variant\": " + jsonString(pt.variant) + ", ";
+        out += coordinates(spec, p.point, true);
         out += sim::strprintf(
-            "\"servers\": %u, \"qps\": %s, \"replica\": %u, "
-            "\"spans\": %llu, \"emitted\": %llu, "
+            ", \"spans\": %llu, \"emitted\": %llu, "
             "\"dropped\": %llu",
-            pt.servers, num(pt.qps).c_str(), pt.replica,
             static_cast<unsigned long long>(attr.spans),
             static_cast<unsigned long long>(attr.emitted),
             static_cast<unsigned long long>(attr.dropped));

@@ -19,14 +19,16 @@
 namespace aw::exp {
 
 /**
- * The fixed CSV column schema (extras columns, taken from the
- * first point, are appended after these):
+ * The CSV column schema: the grid coordinates every emitter opens
+ * with (a bracketed column only when the spec swept that axis)
  *
- *   index,workload,config,policy,variant,servers,qps,replica,seed,
- *   requests,achieved_qps,window_s,power_w,mj_per_request,
- *   avg_latency_us,p99_latency_us,deep_idle,min_server_deep,
- *   max_server_deep,busiest_share,res_c0,res_c1,res_c1e,res_c6a,
- *   res_c6ae,res_c6
+ *   index,workload,config,governor,[freq_policy],[slo_us],[cap_w],
+ *   policy,variant,servers,qps,replica,
+ *
+ * then seed,requests,achieved_qps,window_s,power_w,mj_per_request,
+ * avg_latency_us,p99_latency_us,deep_idle,min_server_deep,
+ * max_server_deep,busiest_share,res_c0,res_c1,res_c1e,res_c6a,
+ * res_c6ae,res_c6 and the extras columns, taken from the first point.
  */
 std::string csvHeader(const SweepResult &result);
 

@@ -14,29 +14,21 @@ namespace aw::exp {
 bool
 SweepResult::Query::matches(const GridPoint &pt) const
 {
-    if (workload && *workload != pt.workload)
-        return false;
-    if (config && *config != pt.config)
-        return false;
-    if (governor && *governor != pt.governor)
-        return false;
-    if (freqPolicy && *freqPolicy != pt.freqPolicy)
-        return false;
-    if (sloUs && *sloUs != pt.sloUs)
-        return false;
-    if (capWatts && *capWatts != pt.capWatts)
-        return false;
-    if (policy && *policy != pt.policy)
-        return false;
-    if (variant && *variant != pt.variant)
-        return false;
-    if (servers && *servers != pt.servers)
-        return false;
-    if (qps && *qps != pt.qps)
-        return false;
-    if (replica && *replica != pt.replica)
-        return false;
-    return true;
+    // An unset field matches any coordinate.
+    const auto unsetOrEqual = [](const auto &want, const auto &have) {
+        return !want || *want == have;
+    };
+    return unsetOrEqual(workload, pt.workload) &&
+           unsetOrEqual(config, pt.config) &&
+           unsetOrEqual(governor, pt.governor) &&
+           unsetOrEqual(freqPolicy, pt.freqPolicy) &&
+           unsetOrEqual(sloUs, pt.sloUs) &&
+           unsetOrEqual(capWatts, pt.capWatts) &&
+           unsetOrEqual(policy, pt.policy) &&
+           unsetOrEqual(variant, pt.variant) &&
+           unsetOrEqual(servers, pt.servers) &&
+           unsetOrEqual(qps, pt.qps) &&
+           unsetOrEqual(replica, pt.replica);
 }
 
 std::vector<const PointResult *>
@@ -128,6 +120,24 @@ SweepRunner::runPoint(const ExperimentSpec &spec, const GridPoint &pt)
 
     PointResult res;
     res.point = pt;
+    // The fields a FleetResult and a RunResult share.
+    const auto fill = [&res, &spec](const auto &r) {
+        res.events = r.events;
+        res.requests = r.requests;
+        res.achievedQps = r.achievedQps;
+        res.windowSeconds = sim::toSec(r.window);
+        res.avgLatencyUs = r.avgLatencyUs;
+        res.p99LatencyUs = r.p99LatencyUs;
+        res.residency = r.residency.share;
+        // Cap metrics ride the extras channel only when the spec
+        // engaged the subsystem, so no-axis artifacts keep their
+        // pre-cap schema byte for byte.
+        if (!spec.capWatts.empty() || spec.thermal) {
+            res.extras.emplace_back("cap_throttle_share",
+                                    r.capThrottleShare);
+            res.extras.emplace_back("max_temp_c", r.maxTempC);
+        }
+    };
 
     if (pt.servers > 0) {
         cluster::FleetConfig fc;
@@ -157,27 +167,13 @@ SweepRunner::runPoint(const ExperimentSpec &spec, const GridPoint &pt)
             res.trace = analysis::attributeTail(*r.trace);
             res.p999LatencyUs = r.p999LatencyUs;
         }
-        res.events = r.events;
-        res.requests = r.requests;
-        res.achievedQps = r.achievedQps;
-        res.windowSeconds = sim::toSec(r.window);
+        fill(r);
         res.powerW = r.fleetPower;
         res.energyPerRequestMj = r.energyPerRequestMj;
-        res.avgLatencyUs = r.avgLatencyUs;
-        res.p99LatencyUs = r.p99LatencyUs;
         res.deepIdleShare = r.deepIdleShare;
         res.minServerDeepShare = r.minServerDeepShare;
         res.maxServerDeepShare = r.maxServerDeepShare;
         res.busiestShareOfLoad = r.busiestShareOfLoad;
-        res.residency = r.residency.share;
-        // Cap metrics ride the extras channel only when the spec
-        // engaged the subsystem, so no-axis artifacts keep their
-        // pre-cap schema byte for byte.
-        if (!spec.capWatts.empty() || spec.thermal) {
-            res.extras.emplace_back("cap_throttle_share",
-                                    r.capThrottleShare);
-            res.extras.emplace_back("max_temp_c", r.maxTempC);
-        }
     } else {
         cfg.seed = pt.seed;
         server::ServerSim srv(cfg, profile, pt.qps);
@@ -202,28 +198,17 @@ SweepRunner::runPoint(const ExperimentSpec &spec, const GridPoint &pt)
             res.trace = analysis::attributeTail(tracer->series());
             res.p999LatencyUs = r.p999LatencyUs;
         }
-        res.events = r.events;
-        res.requests = r.requests;
-        res.achievedQps = r.achievedQps;
-        res.windowSeconds = sim::toSec(r.window);
+        fill(r);
         res.powerW = r.packagePower;
         res.energyPerRequestMj =
             r.requests > 0 ? 1e3 * r.packagePower *
                                  sim::toSec(r.window) / r.requests
                            : 0.0;
-        res.avgLatencyUs = r.avgLatencyUs;
-        res.p99LatencyUs = r.p99LatencyUs;
         const double deep = cluster::deepIdleShare(r.residency);
         res.deepIdleShare = deep;
         res.minServerDeepShare = deep;
         res.maxServerDeepShare = deep;
         res.busiestShareOfLoad = 1.0;
-        res.residency = r.residency.share;
-        if (!spec.capWatts.empty() || spec.thermal) {
-            res.extras.emplace_back("cap_throttle_share",
-                                    r.capThrottleShare);
-            res.extras.emplace_back("max_temp_c", r.maxTempC);
-        }
     }
     return res;
 }

@@ -1,6 +1,7 @@
 #include "exp/spec.hh"
 
 #include <cmath>
+#include <tuple>
 
 #include "cluster/routing.hh"
 #include "cstate/governors.hh"
@@ -87,6 +88,45 @@ registryNames(const std::vector<RegistryEntry<T>> &reg)
     return names;
 }
 
+/** An empty axis expands as its one default value. */
+template <typename T>
+std::vector<T>
+orDefault(const std::vector<T> &axis, T value)
+{
+    return axis.empty() ? std::vector<T>{std::move(value)} : axis;
+}
+
+/** The optional axes as the grid walks them, in expansion order:
+ *  governors, freq policies, SLOs, caps, policies, fleet sizes,
+ *  variants. */
+auto
+optionalAxes(const ExperimentSpec &s)
+{
+    return std::tuple(
+        orDefault(s.governors, std::string()),
+        orDefault(s.freqPolicies, std::string()),
+        orDefault(s.sloUs, 0.0), orDefault(s.capWatts, 0.0),
+        s.fleetSizes.empty()
+            ? std::vector<std::string>{""}
+            : orDefault(s.policies, std::string("round-robin")),
+        orDefault(s.fleetSizes, 0u),
+        orDefault(s.variants, std::string()));
+}
+
+/** (name, length) of every axis, in expansion order. */
+std::vector<std::pair<const char *, std::size_t>>
+axisSizes(const ExperimentSpec &s)
+{
+    const auto [govs, freqs, slos, caps, pols, fleets, vars] =
+        optionalAxes(s);
+    return {{"workloads", s.workloads.size()}, {"configs", s.configs.size()},
+            {"governors", govs.size()}, {"freq policies", freqs.size()},
+            {"SLOs", slos.size()}, {"caps", caps.size()},
+            {"policies", pols.size()}, {"fleet sizes", fleets.size()},
+            {"qps", s.qps.size()}, {"variants", vars.size()},
+            {"replicas", s.replicas}};
+}
+
 } // namespace
 
 workload::WorkloadProfile
@@ -153,7 +193,7 @@ ExperimentSpec::validate() const
         sim::fatal("ExperimentSpec '%s': empty qps axis",
                    name.c_str());
     if (replicas == 0)
-        sim::fatal("ExperimentSpec '%s': need at least one replica",
+        sim::fatal("ExperimentSpec '%s': need at least 1 replica",
                    name.c_str());
     if (fleetSizes.empty() && !policies.empty())
         sim::fatal("ExperimentSpec '%s': routing policies require a "
@@ -178,6 +218,15 @@ ExperimentSpec::validate() const
                    "finite non-negative number (0 = one epoch "
                    "spanning the run; got %f)",
                    name.c_str(), epochSeconds);
+    if (const std::size_t n = gridSize(); n > kMaxGridPoints) {
+        std::string sizes;
+        for (const auto &[axis, size] : axisSizes(*this))
+            sizes += sim::strprintf("%s%zu %s", sizes.empty() ? "" : " x ",
+                                    size, axis);
+        sim::fatal("ExperimentSpec '%s': %zu grid points (%s) exceed "
+                   "the ceiling of %zu",
+                   name.c_str(), n, sizes.c_str(), kMaxGridPoints);
+    }
 
     // Resolve every axis value now so a bad name dies here, on the
     // caller's thread, not inside a worker mid-sweep.
@@ -231,7 +280,9 @@ ExperimentSpec::validate() const
         cluster::makeRoutingPolicy(p, 1);
     for (const unsigned k : fleetSizes)
         if (k == 0)
-            sim::fatal("ExperimentSpec '%s': fleet size 0",
+            sim::fatal("ExperimentSpec '%s': fleet size 0 (need at "
+                       "least 1 server; leave the fleet-size axis "
+                       "empty for single-server sweeps)",
                        name.c_str());
     for (const double q : qps)
         if (!(q > 0.0) || !std::isfinite(q))
@@ -243,19 +294,13 @@ ExperimentSpec::validate() const
 std::size_t
 ExperimentSpec::gridSize() const
 {
-    const std::size_t fleets =
-        fleetSizes.empty() ? 1 : fleetSizes.size();
-    const std::size_t pols =
-        fleetSizes.empty() ? 1
-                           : (policies.empty() ? 1 : policies.size());
-    const std::size_t vars = variants.empty() ? 1 : variants.size();
-    const std::size_t govs = governors.empty() ? 1 : governors.size();
-    const std::size_t freqs =
-        freqPolicies.empty() ? 1 : freqPolicies.size();
-    const std::size_t slos = sloUs.empty() ? 1 : sloUs.size();
-    const std::size_t caps = capWatts.empty() ? 1 : capWatts.size();
-    return workloads.size() * configs.size() * govs * freqs * slos *
-           caps * pols * fleets * qps.size() * vars * replicas;
+    // Saturates instead of wrapping, so the ceiling in validate()
+    // catches any product too large to count.
+    std::size_t n = 1;
+    for (const auto &axis : axisSizes(*this))
+        if (__builtin_mul_overflow(n, axis.second, &n))
+            return SIZE_MAX;
+    return n;
 }
 
 std::vector<GridPoint>
@@ -263,27 +308,8 @@ ExperimentSpec::expand() const
 {
     validate();
 
-    // Dummy single-element axes keep the loop nest uniform.
-    const std::vector<std::string> pols =
-        fleetSizes.empty()
-            ? std::vector<std::string>{""}
-            : (policies.empty()
-                   ? std::vector<std::string>{"round-robin"}
-                   : policies);
-    const std::vector<unsigned> fleets =
-        fleetSizes.empty() ? std::vector<unsigned>{0} : fleetSizes;
-    const std::vector<std::string> vars =
-        variants.empty() ? std::vector<std::string>{""} : variants;
-    const std::vector<std::string> govs =
-        governors.empty() ? std::vector<std::string>{""} : governors;
-    const std::vector<std::string> freqs =
-        freqPolicies.empty() ? std::vector<std::string>{""}
-                             : freqPolicies;
-    const std::vector<double> slos =
-        sloUs.empty() ? std::vector<double>{0.0} : sloUs;
-    const std::vector<double> caps =
-        capWatts.empty() ? std::vector<double>{0.0} : capWatts;
-
+    const auto [govs, freqs, slos, caps, pols, fleets, vars] =
+        optionalAxes(*this);
     std::vector<GridPoint> grid;
     grid.reserve(gridSize());
     for (const auto &w : workloads)

@@ -52,6 +52,11 @@ struct GridPoint
     std::string label() const;
 };
 
+/** The most cells a grid may expand to: a cell's GridPoint and
+ *  PointResult take about 21 KB, so validate() refuses a grid whose
+ *  slots would pass about 21 GB instead of dying in an allocation. */
+inline constexpr std::size_t kMaxGridPoints = std::size_t{1} << 20;
+
 /**
  * A declarative sweep: named axes plus run-shaping knobs.
  *
@@ -161,10 +166,11 @@ struct ExperimentSpec
      *  Ignored by single-server points. */
     double epochSeconds = 0.0;
 
-    /** fatal() on empty or unknown axis values. */
+    /** fatal() on empty or unknown axis values, out-of-range
+     *  numeric axis values, or more than kMaxGridPoints cells. */
     void validate() const;
 
-    /** Number of grid cells. */
+    /** Number of grid cells (saturating at SIZE_MAX). */
     std::size_t gridSize() const;
 
     /** The ordered cartesian grid. Expansion order (outer to

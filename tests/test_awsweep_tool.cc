@@ -144,6 +144,9 @@ INSTANTIATE_TEST_SUITE_P(
         BadFlag{"--epoch 0", "positive"},
         BadFlag{"--epoch -0.1", "positive"},
         BadFlag{"--timeline-interval 0.01", "--timeline"},
-        BadFlag{"--frobnicate", "unknown argument"}));
+        BadFlag{"--frobnicate", "unknown argument"},
+        BadFlag{"--slo 8,-1", "non-negative"},
+        BadFlag{"--caps -18", "non-negative"},
+        BadFlag{"--replicas 4294967295", "ceiling"}));
 
 } // namespace

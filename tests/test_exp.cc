@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -194,6 +195,36 @@ TEST(ExperimentSpecDeathTest, RejectsBadSpecs)
                 "unknown dispatch");
 }
 
+TEST(ExperimentSpecDeathTest, OversizedGridDiesBeforeAllocating)
+{
+    // 2^32 - 1 slots of ~21 KB each: validate() must refuse the grid
+    // before expand() reserves it or a runner sizes its results.
+    ExperimentSpec spec;
+    spec.replicas = 4294967295u;
+    EXPECT_EQ(spec.gridSize(), 4294967295u);
+    EXPECT_EXIT(spec.validate(), testing::ExitedWithCode(1),
+                "4294967295 grid points \\(1 workloads x 1 configs x "
+                "1 governors x .* x 4294967295 replicas\\) exceed the "
+                "ceiling of 1048576");
+    EXPECT_EXIT(SweepRunner(1).run(spec), testing::ExitedWithCode(1),
+                "ceiling");
+}
+
+TEST(ExperimentSpec, GridSizeSaturatesInsteadOfWrapping)
+{
+    // gridSize() never validates, so dummy values suffice: 16^10
+    // cells per replica times 2^32 - 1 replicas overflows 64 bits.
+    ExperimentSpec spec;
+    const std::vector<std::string> names(16, "x");
+    const std::vector<double> values(16, 1.0);
+    spec.workloads = spec.configs = spec.governors =
+        spec.freqPolicies = spec.policies = spec.variants = names;
+    spec.sloUs = spec.capWatts = spec.qps = values;
+    spec.fleetSizes.assign(16, 1u);
+    spec.replicas = 4294967295u;
+    EXPECT_EQ(spec.gridSize(), SIZE_MAX);
+}
+
 TEST(ExperimentSpec, RegistriesResolveEveryAdvertisedName)
 {
     for (const auto &w : exp::workloadNames())
@@ -372,6 +403,103 @@ TEST(Emit, JsonCarriesEveryPoint)
     }
     EXPECT_EQ(occurrences, result.points.size());
     EXPECT_NE(json.find("\"answer\": 42"), std::string::npos);
+}
+
+/**
+ * Check a CSV artifact's coordinate columns: the first non-comment
+ * line opens with @p header, and every later line opens with one of
+ * @p rows (in grid order, each at least once), each followed by the
+ * point's first non-coordinate column.
+ */
+void
+expectCsvCoordinates(const std::string &csv, const std::string &header,
+                     const std::vector<std::string> &rows)
+{
+    std::istringstream in(csv);
+    std::string line;
+    while (std::getline(in, line) && line.rfind('#', 0) == 0) {
+    }
+    EXPECT_EQ(line.substr(0, header.size() + 1), header + ",");
+    std::vector<std::size_t> seen(rows.size(), 0);
+    std::size_t k = 0;
+    while (std::getline(in, line)) {
+        while (k < rows.size() &&
+               line.compare(0, rows[k].size() + 1, rows[k] + ",") != 0)
+            ++k;
+        ASSERT_LT(k, rows.size()) << "unexpected coordinates: " << line;
+        ++seen[k];
+    }
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        EXPECT_GT(seen[i], 0u) << "no row opens with " << rows[i];
+}
+
+/** Check a JSON artifact's point objects: one per point, in grid
+ *  order, each opening with the point's @p objects prefix. */
+void
+expectJsonCoordinates(const std::string &json,
+                      const std::vector<std::string> &objects)
+{
+    std::size_t pos = 0;
+    for (const auto &o : objects) {
+        pos = json.find("{" + o + ", ", pos);
+        ASSERT_NE(pos, std::string::npos) << "missing object " << o;
+        ++pos;
+    }
+    std::size_t count = 0;
+    for (pos = 0; (pos = json.find("{\"index\": ", pos)) !=
+                  std::string::npos;
+         ++pos)
+        ++count;
+    EXPECT_EQ(count, objects.size());
+}
+
+TEST(Emit, CoordinatesArePinnedInEveryEmitter)
+{
+    // Every optional coordinate column, a swept string that needs
+    // CSV escaping and JSON quoting, and both telemetry emitters.
+    ExperimentSpec spec;
+    spec.configs = {"aw"};
+    spec.freqPolicies = {"performance"};
+    spec.sloUs = {0.0, 8.0};
+    spec.capWatts = {18.0};
+    spec.variants = {"plain", "a,\"b\""};
+    spec.seconds = 0.005;
+    spec.timelineIntervalSeconds = 0.001;
+    spec.traceRequests = true;
+    const auto result = SweepRunner(2).run(spec);
+
+    const std::string header =
+        "index,workload,config,governor,freq_policy,slo_us,cap_w,"
+        "policy,variant,servers,qps,replica";
+    const std::vector<std::string> rows = {
+        "0,memcached,aw,,performance,0,18,,plain,0,100000,0",
+        "1,memcached,aw,,performance,0,18,,\"a,\"\"b\"\"\",0,100000,0",
+        "2,memcached,aw,,performance,8,18,,plain,0,100000,0",
+        "3,memcached,aw,,performance,8,18,,\"a,\"\"b\"\"\",0,100000,0",
+    };
+    const auto object = [](int index, int slo, const char *variant) {
+        return "\"index\": " + std::to_string(index) +
+               ", \"workload\": \"memcached\", \"config\": \"aw\", "
+               "\"governor\": \"\", \"freq_policy\": \"performance\", "
+               "\"slo_us\": " +
+               std::to_string(slo) +
+               ", \"cap_w\": 18, \"policy\": \"\", \"variant\": " +
+               variant +
+               ", \"servers\": 0, \"qps\": 100000, \"replica\": 0";
+    };
+    const std::vector<std::string> objects = {
+        object(0, 0, "\"plain\""), object(1, 0, "\"a,\\\"b\\\"\""),
+        object(2, 8, "\"plain\""), object(3, 8, "\"a,\\\"b\\\"\""),
+    };
+
+    EXPECT_EQ(exp::csvHeader(result).substr(0, header.size() + 1),
+              header + ",");
+    expectCsvCoordinates(exp::toCsv(result), header, rows);
+    expectCsvCoordinates(exp::toTimelineCsv(result), header, rows);
+    expectCsvCoordinates(exp::toTraceCsv(result), header, rows);
+    expectJsonCoordinates(exp::toJson(result), objects);
+    expectJsonCoordinates(exp::toTimelineJson(result), objects);
+    expectJsonCoordinates(exp::toTraceJson(result), objects);
 }
 
 // ---------------------------------------------------- determinism

@@ -147,25 +147,10 @@ main(int argc, char **argv)
             spec.freqPolicies =
                 splitList(next("--freq-governors"));
         } else if (arg == "--slo") {
-            spec.sloUs.clear();
-            for (const auto &v : splitList(next("--slo"))) {
-                const double s = parseDouble("--slo", v.c_str());
-                if (s < 0.0)
-                    sim::fatal("--slo: latency SLO must be >= 0 us "
-                               "(0 = unconstrained; got %g)",
-                               s);
-                spec.sloUs.push_back(s);
-            }
+            spec.sloUs = parseList("--slo", next("--slo"), parseDouble);
         } else if (arg == "--caps") {
-            spec.capWatts.clear();
-            for (const auto &v : splitList(next("--caps"))) {
-                const double w = parseDouble("--caps", v.c_str());
-                if (w < 0.0)
-                    sim::fatal("--caps: package budget must be "
-                               ">= 0 watts (0 = uncapped; got %g)",
-                               w);
-                spec.capWatts.push_back(w);
-            }
+            spec.capWatts =
+                parseList("--caps", next("--caps"), parseDouble);
         } else if (arg == "--thermal") {
             spec.thermal = true;
         } else if (arg == "--dispatch") {
@@ -173,31 +158,13 @@ main(int argc, char **argv)
         } else if (arg == "--policies") {
             spec.policies = splitList(next("--policies"));
         } else if (arg == "--fleet") {
-            spec.fleetSizes.clear();
-            for (const auto &v : splitList(next("--fleet"))) {
-                const unsigned k =
-                    parseUnsigned("--fleet", v.c_str());
-                if (k == 0)
-                    sim::fatal("--fleet: need at least 1 server "
-                               "(omit the flag for single-server "
-                               "sweeps)");
-                spec.fleetSizes.push_back(k);
-            }
+            spec.fleetSizes =
+                parseList("--fleet", next("--fleet"), parseUnsigned);
         } else if (arg == "--qps") {
-            spec.qps.clear();
-            for (const auto &v : splitList(next("--qps"))) {
-                const double q = parseDouble("--qps", v.c_str());
-                if (q <= 0.0)
-                    sim::fatal("--qps: offered load must be "
-                               "positive (got %g)",
-                               q);
-                spec.qps.push_back(q);
-            }
+            spec.qps = parseList("--qps", next("--qps"), parseDouble);
         } else if (arg == "--replicas") {
             spec.replicas =
                 parseUnsigned("--replicas", next("--replicas"));
-            if (spec.replicas == 0)
-                sim::fatal("--replicas: need at least 1 replica");
         } else if (arg == "--per-server-qps") {
             spec.qpsPerServer = true;
         } else if (arg == "--seconds") {
@@ -282,7 +249,7 @@ main(int argc, char **argv)
         spec.traceRequests = true;
 
     // expand() inside run() validates on this thread before any
-    // worker spawns.
+    // worker spawns; it range-checks every numeric axis value.
     exp::SweepRunner runner(threads);
     const auto result = runner.run(spec);
 
@@ -344,36 +311,26 @@ main(int argc, char **argv)
         t.print();
     }
 
-    if (!csv_path.empty())
-        exp::writeFile(csv_path, exp::toCsv(result));
-    if (!json_path.empty())
-        exp::writeFile(json_path, exp::toJson(result));
-    if (!timeline_csv_path.empty())
-        exp::writeFile(timeline_csv_path,
-                       exp::toTimelineCsv(result));
-    if (!timeline_json_path.empty())
-        exp::writeFile(timeline_json_path,
-                       exp::toTimelineJson(result));
-    if (!trace_csv_path.empty())
-        exp::writeFile(trace_csv_path, exp::toTraceCsv(result));
-    if (!trace_json_path.empty())
-        exp::writeFile(trace_json_path, exp::toTraceJson(result));
-    if (!quiet && (!csv_path.empty() || !json_path.empty() ||
-                   want_timeline || want_trace)) {
-        std::printf("\nartifacts:%s%s%s%s%s%s%s%s%s%s%s%s\n",
-                    csv_path.empty() ? "" : " csv=",
-                    csv_path.c_str(),
-                    json_path.empty() ? "" : " json=",
-                    json_path.c_str(),
-                    timeline_csv_path.empty() ? "" : " timeline=",
-                    timeline_csv_path.c_str(),
-                    timeline_json_path.empty() ? ""
-                                               : " timeline_json=",
-                    timeline_json_path.c_str(),
-                    trace_csv_path.empty() ? "" : " trace=",
-                    trace_csv_path.c_str(),
-                    trace_json_path.empty() ? "" : " trace_json=",
-                    trace_json_path.c_str());
-    }
+    const struct
+    {
+        const char *label;
+        const std::string &path;
+        std::string (*emit)(const exp::SweepResult &);
+    } artifacts[] = {
+        {"csv", csv_path, exp::toCsv},
+        {"json", json_path, exp::toJson},
+        {"timeline", timeline_csv_path, exp::toTimelineCsv},
+        {"timeline_json", timeline_json_path, exp::toTimelineJson},
+        {"trace", trace_csv_path, exp::toTraceCsv},
+        {"trace_json", trace_json_path, exp::toTraceJson},
+    };
+    std::string written;
+    for (const auto &a : artifacts)
+        if (!a.path.empty()) {
+            exp::writeFile(a.path, a.emit(result));
+            written += sim::strprintf(" %s=%s", a.label, a.path.c_str());
+        }
+    if (!quiet && !written.empty())
+        std::printf("\nartifacts:%s\n", written.c_str());
     return 0;
 }

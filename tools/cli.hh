@@ -78,6 +78,18 @@ splitList(const std::string &arg)
     return out;
 }
 
+/** Parse a comma-separated list with @p parse (a parser above). */
+template <typename T>
+std::vector<T>
+parseList(const char *flag, const char *value,
+          T (*parse)(const char *, const char *))
+{
+    std::vector<T> out;
+    for (const auto &item : splitList(value))
+        out.push_back(parse(flag, item.c_str()));
+    return out;
+}
+
 } // namespace aw::cli
 
 #endif // AW_TOOLS_CLI_HH
