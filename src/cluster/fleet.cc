@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
+#include <mutex>
 #include <queue>
 #include <span>
+#include <utility>
 
 #include "cap/powercap.hh"
 #include "cstate/governors.hh"
@@ -130,6 +133,58 @@ struct ServerSlot
     server::RunResult result;
     std::vector<double> latency; //!< sorted ascending
 };
+
+/** Servers a run advances behind the balancer at most: the first
+ *  ones routed to. A constructed ServerSim holds ~70 KB, so the
+ *  bound keeps a spread day's live servers to a few MB; the rest
+ *  run after the pass. */
+constexpr std::size_t kMaxLiveServers = 64;
+
+/** One server's run: the simulator, the gap stream that feeds it
+ *  and its telemetry observers. Heap-held, because the fan-out
+ *  points into it. */
+struct ServerRun
+{
+    std::optional<server::ServerSim> srv;
+    workload::GapStream *gaps = nullptr; //!< owned by srv
+    std::optional<analysis::TimelineRecorder> recorder;
+    std::optional<analysis::RequestTracer> tracer;
+    server::TelemetryFanout fanout;
+    bool begun = false;
+};
+
+/**
+ * Hand-over box of one server streamed behind the balancer. The
+ * balancer posts gaps, budget spans and finally the close under the
+ * lock, and submits a task only while none is queued; the task
+ * empties the box until it finds it empty. So one server's pieces
+ * never overlap, and they run in hand-over order.
+ */
+struct Inbox
+{
+    explicit Inbox(unsigned s) : server(s) {}
+
+    const unsigned server;
+    std::mutex mtx;
+    std::vector<sim::Tick> gaps;
+    std::vector<cap::BudgetSpan> spans;
+    bool close = false;
+    bool queued = false;
+    std::unique_ptr<ServerRun> run; //!< touched by the task only
+};
+
+/** Move @p from onto the end of @p to, leaving @p from empty. */
+template <typename T>
+void
+moveAppend(std::vector<T> &to, std::vector<T> &from)
+{
+    if (to.empty()) {
+        to.swap(from);
+        return;
+    }
+    to.insert(to.end(), from.begin(), from.end());
+    from.clear();
+}
 
 } // namespace
 
@@ -321,6 +376,137 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
     if (_requestTrace)
         decisions.resize(_requestTrace->capacity);
 
+    // ------------------------------------------- per-server pieces
+    std::vector<ServerSlot> slots(K);
+    std::vector<analysis::TimelineSeries> timelines;
+    if (_timeline)
+        timelines.resize(K);
+    std::vector<analysis::TraceSeries> traces;
+    if (_requestTrace)
+        traces.resize(K);
+    const auto startServer = [&](unsigned i) {
+        server::ServerConfig scfg = _cfg.server;
+        scfg.seed = sim::deriveSeed(_cfg.seed, i);
+        auto run = std::make_unique<ServerRun>();
+        auto gaps = std::make_unique<workload::GapStream>();
+        run->gaps = gaps.get();
+        run->srv.emplace(scfg, _profile, std::move(gaps));
+        if (_timeline)
+            run->recorder.emplace(*_timeline, scfg.cores);
+        if (_requestTrace)
+            run->tracer.emplace(*_requestTrace, scfg.cores);
+        run->fanout.add(run->recorder ? &*run->recorder : nullptr);
+        run->fanout.add(run->tracer ? &*run->tracer : nullptr);
+        run->srv->setObserver(run->fanout.target());
+        return run;
+    };
+    // Hand a server its newly routed gaps and budget spans. The
+    // first hand-over begins the run, since begin() draws the first
+    // gap.
+    const auto feed = [&](ServerRun &run, std::vector<sim::Tick> gaps,
+                          std::span<const cap::BudgetSpan> spans) {
+        run.gaps->append(std::move(gaps));
+        if (!spans.empty())
+            run.srv->appendCapSpans(spans);
+        if (!run.begun) {
+            run.srv->begin(duration, warmup);
+            run.begun = true;
+        }
+    };
+    const auto finishServer = [&](ServerRun &run, unsigned i) {
+        run.gaps->close();
+        ServerSlot &slot = slots[i];
+        slot.result = run.srv->finish();
+        if (run.recorder)
+            timelines[i] = run.recorder->series();
+        if (run.tracer)
+            traces[i] = run.tracer->series();
+        slot.latency = run.srv->latencySamples().sortedSamples();
+    };
+
+    const auto runServer = [&](unsigned i) {
+        // A server that received no traffic still burns idle power:
+        // drive it with a single never-arriving gap.
+        std::vector<sim::Tick> g = std::move(lb.gaps[i]);
+        if (g.empty())
+            g.push_back(sim::kMaxTick);
+        const auto run = startServer(i);
+        // Never-routed servers all carry the identical base-budget
+        // schedule (zero demand every epoch), which is what keeps
+        // the idle-reference slot reuse below bit-identical.
+        feed(*run, std::move(g),
+             redistribute ? std::span<const cap::BudgetSpan>(
+                                cap_spans[i])
+                          : std::span<const cap::BudgetSpan>());
+        finishServer(*run, i);
+    };
+
+    // Streaming (epochs on, more than one fleet thread): the first
+    // kMaxLiveServers servers routed to run behind the balancer. At
+    // every epoch hand-over each gets the gaps and budget spans
+    // routed to it since the last one, and the pool advances it to
+    // one tick before its last known arrival. The dispatch at that
+    // arrival draws the next gap, which is not routed yet; every
+    // event before it depends on known inputs only (conservative
+    // lookahead). Stopping and resuming a server's simulator fires
+    // the events one call would, in the same order, so streaming
+    // moves no result. At one fleet thread every server runs after
+    // the pass: the serial run stays the one-call reference.
+    const unsigned threads =
+        sim::ThreadPool::resolveThreads(_cfg.fleetThreads);
+    const bool streaming = epoch > 0 && threads > 1;
+    std::deque<Inbox> live;
+    std::vector<bool> is_live(K, false);
+    const auto drain = [&](Inbox &box) {
+        while (true) {
+            std::vector<sim::Tick> gaps;
+            std::vector<cap::BudgetSpan> spans;
+            bool close = false;
+            {
+                const std::lock_guard lock(box.mtx);
+                if (box.gaps.empty() && box.spans.empty() &&
+                    !box.close) {
+                    box.queued = false;
+                    return;
+                }
+                gaps.swap(box.gaps);
+                spans.swap(box.spans);
+                close = std::exchange(box.close, false);
+            }
+            if (!box.run)
+                box.run = startServer(box.server);
+            ServerRun &run = *box.run;
+            feed(run, std::move(gaps), spans);
+            if (close) {
+                finishServer(run, box.server);
+                box.run.reset();
+            } else if (run.gaps->lastArrival() > 0) {
+                run.srv->advanceTo(run.gaps->lastArrival() - 1);
+            }
+        }
+    };
+    // Declared after everything its tasks touch: destroying the pool
+    // waits for them, on every way out of this function.
+    std::optional<sim::ThreadPool> pool;
+    if (streaming)
+        pool.emplace(std::min(threads, K));
+    // The balancer never waits on a server: it holds the box's lock
+    // only to move vectors, as the task does.
+    const auto post = [&](Inbox &box, bool close) {
+        bool submit = false;
+        {
+            const std::lock_guard lock(box.mtx);
+            moveAppend(box.gaps, lb.gaps[box.server]);
+            if (redistribute)
+                moveAppend(box.spans, cap_spans[box.server]);
+            box.close = close;
+            submit = !box.queued;
+            box.queued = true;
+        }
+        if (submit)
+            pool->submit([&drain, &box] { drain(box); });
+    };
+
     sim::Tick now = 0;
     std::uint64_t total_routed = 0;
     while (true) {
@@ -331,7 +517,9 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
         if (now >= horizon)
             break;
 
+        bool crossed = false;
         while (epoch > 0 && now >= next_epoch) {
+            crossed = true;
             drainCompletions(next_epoch);
             if (redistribute) {
                 const auto budgets =
@@ -351,6 +539,13 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
             else
                 next_epoch += epoch;
         }
+        if (crossed) {
+            for (Inbox &box : live) {
+                if (!lb.gaps[box.server].empty() ||
+                    (redistribute && !cap_spans[box.server].empty()))
+                    post(box, /*close=*/false);
+            }
+        }
         drainCompletions(now);
 
         const std::size_t target = policy->route(view, lb_rng);
@@ -360,7 +555,11 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
                        policy->name(), target, K);
         lb.gaps[target].push_back(now - lb.lastArrival[target]);
         lb.lastArrival[target] = now;
-        ++lb.routed[target];
+        if (++lb.routed[target] == 1 && streaming &&
+            live.size() < kMaxLiveServers) {
+            live.emplace_back(static_cast<unsigned>(target));
+            is_live[target] = true;
+        }
         ++total_routed;
         if (redistribute)
             ++epoch_routed[target];
@@ -383,7 +582,9 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
         ++lb.outstanding[target];
         view.onRouted(target);
     }
-    estimates.reset(); // join the producer before the pool starts
+    estimates.reset(); // join the producer
+    for (Inbox &box : live)
+        post(box, /*close=*/true);
 
     // ---------------------------------------------- per-server runs
     FleetResult fr;
@@ -394,6 +595,7 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
     fr.offeredQps = _totalQps;
     fr.routed = total_routed;
     fr.routedPerServer = lb.routed;
+    fr.streamed = static_cast<unsigned>(live.size());
 
     // Homogeneous-idle fast path: every server the balancer never
     // routed to sees the same input (one never-firing gap) and, as
@@ -411,76 +613,34 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
     std::vector<unsigned> to_run;
     to_run.reserve(K);
     for (unsigned i = 0; i < K; ++i) {
-        if (lb.gaps[i].empty())
+        const bool never_routed = lb.routed[i] == 0;
+        if (never_routed)
             ++fr.neverRouted;
-        if (reuse_idle && lb.gaps[i].empty() && idle_ref < K) {
+        if (is_live[i])
+            continue; // finishing behind the pass already
+        if (reuse_idle && never_routed && idle_ref < K) {
             reuse_ref[i] = true;
             continue;
         }
-        if (reuse_idle && lb.gaps[i].empty())
+        if (reuse_idle && never_routed)
             idle_ref = i;
         to_run.push_back(i);
     }
 
-    std::vector<ServerSlot> slots(K);
-    std::vector<analysis::TimelineSeries> timelines;
-    if (_timeline)
-        timelines.resize(K);
-    std::vector<analysis::TraceSeries> traces;
-    if (_requestTrace)
-        traces.resize(K);
-    const auto runServer = [&](unsigned i) {
-        server::ServerConfig scfg = _cfg.server;
-        scfg.seed = sim::deriveSeed(_cfg.seed, i);
-
-        // A server that received no traffic still burns idle power:
-        // drive it with a single never-arriving gap.
-        std::vector<sim::Tick> g = std::move(lb.gaps[i]);
-        if (g.empty())
-            g.push_back(sim::kMaxTick);
-        server::ServerSim srv(
-            scfg, _profile,
-            std::make_unique<workload::TraceArrivals>(
-                workload::ArrivalTrace(std::move(g)),
-                /*loop=*/false));
-        // Never-routed servers all carry the identical base-budget
-        // schedule (zero demand every epoch), which is what keeps
-        // the idle-reference slot reuse below bit-identical.
-        if (redistribute && !cap_spans[i].empty())
-            srv.setCapSchedule(cap_spans[i]);
-        std::optional<analysis::TimelineRecorder> recorder;
-        std::optional<analysis::RequestTracer> tracer;
-        server::TelemetryFanout fanout;
-        if (_timeline)
-            recorder.emplace(*_timeline, scfg.cores);
-        if (_requestTrace)
-            tracer.emplace(*_requestTrace, scfg.cores);
-        fanout.add(recorder ? &*recorder : nullptr);
-        fanout.add(tracer ? &*tracer : nullptr);
-        srv.setObserver(fanout.target());
-        ServerSlot &slot = slots[i];
-        slot.result = srv.run(duration, warmup);
-        if (recorder)
-            timelines[i] = recorder->series();
-        if (tracer)
-            traces[i] = tracer->series();
-        slot.latency = srv.latencySamples().sortedSamples();
-    };
-
-    const unsigned workers = std::min<std::size_t>(
-        sim::ThreadPool::resolveThreads(_cfg.fleetThreads),
-        to_run.size());
-    if (workers <= 1) {
+    const auto workers = static_cast<unsigned>(
+        std::min<std::size_t>(threads, to_run.size()));
+    if (!pool && workers > 1)
+        pool.emplace(workers);
+    if (!pool) {
         for (const unsigned i : to_run)
             runServer(i);
     } else {
         // Each run writes only its pre-assigned slot, so the
         // partition needs no locks and no ordering; determinism
         // comes from the in-order aggregation below.
-        sim::ThreadPool pool(workers);
         for (const unsigned i : to_run)
-            pool.submit([&runServer, i] { runServer(i); });
-        pool.wait();
+            pool->submit([&runServer, i] { runServer(i); });
+        pool->wait();
     }
     for (unsigned i = 0; i < K; ++i) {
         if (!reuse_ref[i])

@@ -27,6 +27,15 @@
  * ahead on a producer thread (sim::DrawAhead) while the balancer
  * routes; pack-first finds its spill target in an
  * UnderCapacityIndex instead of scanning the packed prefix.
+ *
+ * The balancer never reads server state, so a server's input up to
+ * its last routed arrival is final the moment it is routed. With
+ * epochs on and more than one fleet thread, the first servers routed
+ * to (at most 64) are streamed: at every epoch hand-over the
+ * balancer gives each its newly routed gaps (a workload::GapStream)
+ * and budget spans, and the pool advances it to one tick before its
+ * last known arrival, while the balancer routes on. The rest run
+ * after the pass, as every server does at one fleet thread.
  */
 
 #ifndef AW_CLUSTER_FLEET_HH
@@ -81,15 +90,17 @@ struct FleetConfig
     /** Offered-load shaping (flat by default). */
     RateSchedule schedule = RateSchedule::flat();
 
-    /** Worker threads for the per-server phase. Once the balancer
-     *  has split the offered stream, the K per-server event streams
-     *  are fully independent (the balancer routes on its own a
-     *  priori occupancy estimate, never on live server state), so
-     *  they partition across threads; each run writes into a
-     *  pre-assigned result slot and aggregation walks the slots in
-     *  index order, making every result and artifact bit-identical
-     *  to the serial reference at any thread count. 0 = hardware
-     *  concurrency; 1 (the default) = the serial reference path. */
+    /** Worker threads for the per-server runs. The K per-server
+     *  event streams are fully independent (the balancer routes on
+     *  its own a priori occupancy estimate, never on live server
+     *  state), so they partition across threads, and with epochs
+     *  on the first servers routed to run while the balancer still
+     *  routes; each run writes into a pre-assigned result slot and
+     *  aggregation walks the slots in index order, making every
+     *  result and artifact bit-identical to the serial reference at
+     *  any thread count. 0 = hardware concurrency; 1 (the default)
+     *  = the serial reference path: balancer pass first, then every
+     *  server in one run() call. */
     unsigned fleetThreads = 1;
 
     /** Routing-decision epoch length in seconds. The balancer
@@ -99,7 +110,11 @@ struct FleetConfig
      *  per-decision drain would pop anyway, in the same heap order,
      *  so results are byte-identical for ANY epoch length (pinned
      *  by tests, including a boundary landing exactly on a routing
-     *  decision). 0 (the default) = one epoch spanning the run. */
+     *  decision). Epochs are also the hand-over cadence: beyond one
+     *  fleet thread, streamed servers get their newly routed gaps
+     *  at each boundary and advance behind the balancer, so a
+     *  shorter epoch keeps them closer behind it. 0 (the default) =
+     *  one epoch spanning the run, nothing streamed. */
     double epochSeconds = 0.0;
 
     /** Fleet power-budget redistribution (active only when
@@ -192,6 +207,11 @@ struct FleetResult
      *  homogeneous-idle fast path; diagnostics only, never part of
      *  artifact schemas). */
     unsigned neverRouted = 0;
+
+    /** Servers advanced behind the balancer during its pass (0 at
+     *  one fleet thread or without epochs; diagnostics only, never
+     *  part of artifact schemas). */
+    unsigned streamed = 0;
 
     std::vector<server::RunResult> perServer;
 

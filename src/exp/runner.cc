@@ -160,7 +160,9 @@ SweepRunner::runPoint(const ExperimentSpec &spec, const GridPoint &pt)
             fleet.enableRequestTrace(analysis::TraceConfig{});
         auto r = duration > 0 ? fleet.run(duration, warmup)
                               : fleet.run();
-        res.timeline = std::move(r.timeline);
+        if (r.timeline)
+            res.timeline = std::make_shared<analysis::TimelineSeries>(
+                std::move(*r.timeline));
         if (r.trace) {
             // Attribute and drop the raw spans: a sweep keeps one
             // attribution per point, not millions of span records.
@@ -193,7 +195,8 @@ SweepRunner::runPoint(const ExperimentSpec &spec, const GridPoint &pt)
         const auto r = duration > 0 ? srv.run(duration, warmup)
                                     : srv.run();
         if (recorder)
-            res.timeline = recorder->series();
+            res.timeline = std::make_shared<analysis::TimelineSeries>(
+                recorder->series());
         if (tracer) {
             res.trace = analysis::attributeTail(tracer->series());
             res.p999LatencyUs = r.p999LatencyUs;

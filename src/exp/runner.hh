@@ -14,6 +14,7 @@
 
 #include <array>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -69,8 +70,10 @@ struct PointResult
     /** Streaming interval telemetry; present only when the spec set
      *  timelineIntervalSeconds > 0 (fleet points carry the folded
      *  per-server series). Emitted by toTimelineCsv/Json, never by
-     *  the regular artifact emitters. */
-    std::optional<analysis::TimelineSeries> timeline;
+     *  the regular artifact emitters. Held out of line and
+     *  immutable (copies share it): a series is ~19.5 KB, which
+     *  every slot of a sweep would carry even with telemetry off. */
+    std::shared_ptr<const analysis::TimelineSeries> timeline;
 
     /** Tail-latency attribution of this point's request trace;
      *  present only when the spec set traceRequests. The raw spans

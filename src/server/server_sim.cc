@@ -31,7 +31,8 @@ ServerSim::ServerSim(ServerConfig cfg,
     : _cfg(std::move(cfg)), _profile(std::move(profile)),
       _totalQps(arrivals ? arrivals->ratePerSec() : 0.0),
       _dispatchArrivals(std::move(arrivals)),
-      _dispatchRng(_cfg.seed + 999331), _package(_cfg.packageParams)
+      _dispatchRng(_cfg.seed + 999331), _externalArrivals(true),
+      _package(_cfg.packageParams)
 {
     if (!_dispatchArrivals)
         sim::fatal("ServerSim: null arrival stream");
@@ -165,17 +166,17 @@ ServerSim::setObserver(TelemetryObserver *observer)
 }
 
 void
-ServerSim::setCapSchedule(std::vector<cap::BudgetSpan> spans)
+ServerSim::appendCapSpans(std::span<const cap::BudgetSpan> spans)
 {
     if (!_capCtl)
         sim::fatal("ServerSim: cap schedule needs cfg.cap enabled");
-    for (std::size_t i = 1; i < spans.size(); ++i) {
-        if (spans[i].start < spans[i - 1].start)
+    for (const cap::BudgetSpan &span : spans) {
+        if (!_capSchedule.empty() &&
+            span.start < _capSchedule.back().start)
             sim::fatal("ServerSim: cap schedule spans must be in "
                        "ascending start order");
+        _capSchedule.push_back(span);
     }
-    _capSchedule = std::move(spans);
-    _capSpan = 0;
 }
 
 void
@@ -348,6 +349,13 @@ ServerSim::onCoreStateChange(std::size_t changed)
 RunResult
 ServerSim::run(sim::Tick duration, sim::Tick warmup)
 {
+    begin(duration, warmup);
+    return finish();
+}
+
+void
+ServerSim::begin(sim::Tick duration, sim::Tick warmup)
+{
     for (auto &core : _cores)
         core->start();
     if (_dispatchArrivals)
@@ -357,12 +365,38 @@ ServerSim::run(sim::Tick duration, sim::Tick warmup)
         _capThrottleSince = _sim.now();
         scheduleCapControl();
     }
+    _warmupEnd = warmup;
+    _end = warmup + duration;
+    _measuring = false;
+}
 
-    // Warmup: run unmeasured, then reset all statistics. The
-    // observer is told first so the per-core resetStats state
+void
+ServerSim::advanceTo(sim::Tick t)
+{
+    t = std::min(t, _end);
+    if (!_measuring) {
+        if (t < _warmupEnd) {
+            if (t >= _sim.now())
+                _sim.run(t);
+            return;
+        }
+        // Warmup: run unmeasured, then reset all statistics.
+        if (_warmupEnd > 0)
+            _sim.run(_warmupEnd);
+        startMeasurement();
+    }
+    // Stopping at t and going on later fires what one call would:
+    // nothing is scheduled between the two calls.
+    if (t >= _sim.now())
+        _sim.run(t);
+}
+
+void
+ServerSim::startMeasurement()
+{
+    // The observer is told first so the per-core resetStats state
     // re-announcements land inside its fresh window.
-    if (warmup > 0)
-        _sim.run(warmup);
+    _measuring = true;
     if (_observer)
         _observer->onMeasurementStart(_sim.now());
     for (auto &core : _cores)
@@ -397,9 +431,13 @@ ServerSim::run(sim::Tick duration, sim::Tick warmup)
         }
     }
     _statsStart = _sim.now();
+}
 
-    const sim::Tick start = _sim.now();
-    _sim.run(start + duration);
+RunResult
+ServerSim::finish()
+{
+    advanceTo(_end);
+    const sim::Tick start = _statsStart;
     const sim::Tick end = _sim.now();
     const sim::Tick window = end - start;
     _package.noteStateSince(end);
@@ -409,7 +447,8 @@ ServerSim::run(sim::Tick duration, sim::Tick warmup)
     RunResult r;
     r.configName = _cfg.name;
     r.workloadName = _profile.name();
-    r.offeredQps = _totalQps;
+    r.offeredQps =
+        _externalArrivals ? _dispatchArrivals->ratePerSec() : _totalQps;
     r.window = window;
     r.events = _sim.eventsExecuted();
 

@@ -8,6 +8,7 @@
 #define AW_SERVER_SERVER_SIM_HH
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -118,9 +119,27 @@ class ServerSim
 
     /**
      * Run @p warmup of unmeasured time followed by @p duration of
-     * measured time.
+     * measured time: exactly begin(), then finish().
      */
     RunResult run(sim::Tick duration, sim::Tick warmup);
+
+    /**
+     * @{ run() in pieces. begin() arms the run: it starts the cores
+     * and draws the first arrival gap. advanceTo(t) fires every
+     * event due at or before @p t (clamped to the end of the
+     * measured window), crossing the warmup reset exactly where
+     * run() does. finish() runs to the end of the window and
+     * aggregates. Events fire in the same (when, seq) order however
+     * the run is cut, so every result, sample and observer callback
+     * is the one run() gives. An appendable arrival stream
+     * (workload::GapStream) must hold every gap a dispatch at or
+     * before @p t draws, i.e. @p t must stay below its last known
+     * arrival until the stream is closed.
+     */
+    void begin(sim::Tick duration, sim::Tick warmup);
+    void advanceTo(sim::Tick t);
+    RunResult finish();
+    /** @} */
 
     /** Convenience: run with defaults sized to the offered rate. */
     RunResult run();
@@ -158,19 +177,22 @@ class ServerSim
     void setObserver(TelemetryObserver *observer);
 
     /**
-     * Fleet budget redistribution: replace the constant
-     * cfg.cap.capWatts budget with a piecewise-constant schedule
+     * Fleet budget redistribution: extend the piecewise-constant
+     * schedule that replaces the constant cfg.cap.capWatts budget
      * (ascending start times; each span holds until the next). The
      * balancer computes these at epoch boundaries from its own
      * routed-demand counts, so they are a pure function of the
-     * serial balancer pass. Call before run(); requires the cap
-     * subsystem enabled.
+     * serial balancer pass. A span must be appended before the run
+     * advances to its start; requires the cap subsystem enabled.
      */
-    void setCapSchedule(std::vector<cap::BudgetSpan> spans);
+    void appendCapSpans(std::span<const cap::BudgetSpan> spans);
 
   private:
     /** Shared constructor body: validate and build the cores. */
     void buildCores(double per_core_rate);
+
+    /** Reset every statistic at the end of warmup. */
+    void startMeasurement();
 
     /** @{ Power-cap control loop (armed only when cfg.cap is
      *  enabled): every control interval, read the package meters,
@@ -216,6 +238,16 @@ class ServerSim
     sim::Rng _dispatchRng{1};
     std::uint64_t _nextDispatchId = 0;
     std::size_t _rrNext = 0; //!< round-robin cursor (Static dispatch)
+    /** offeredQps is the stream's rate at finish(): an appendable
+     *  stream's rate covers every gap it was given, not the ones it
+     *  held at construction. */
+    bool _externalArrivals = false;
+
+    /** @{ The run in progress (begin/advanceTo/finish). */
+    sim::Tick _warmupEnd = 0;
+    sim::Tick _end = 0;
+    bool _measuring = false;
+    /** @} */
 
     /** Package C-state machinery. */
     PackageCStateModel _package;

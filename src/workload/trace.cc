@@ -134,4 +134,42 @@ TraceArrivals::ratePerSec() const
     return _trace.meanRatePerSec();
 }
 
+void
+GapStream::append(std::vector<sim::Tick> gaps)
+{
+    if (_closed)
+        sim::panic("GapStream: append after close");
+    for (const sim::Tick g : gaps)
+        _lastArrival += g;
+    _count += gaps.size();
+    if (_pos == _gaps.size()) {
+        _gaps = std::move(gaps);
+    } else {
+        _gaps.erase(_gaps.begin(),
+                    _gaps.begin() + static_cast<std::ptrdiff_t>(_pos));
+        _gaps.insert(_gaps.end(), gaps.begin(), gaps.end());
+    }
+    _pos = 0;
+}
+
+sim::Tick
+GapStream::nextGap(sim::Rng &)
+{
+    if (_pos < _gaps.size())
+        return _gaps[_pos++];
+    if (!_closed)
+        sim::panic("GapStream: gap %llu asked for before it was "
+                   "appended",
+                   static_cast<unsigned long long>(_count + 1));
+    return sim::kMaxTick;
+}
+
+double
+GapStream::ratePerSec() const
+{
+    if (_lastArrival == 0)
+        return 0.0;
+    return static_cast<double>(_count) / sim::toSec(_lastArrival);
+}
+
 } // namespace aw::workload

@@ -93,6 +93,44 @@ class TraceArrivals : public ArrivalProcess
     std::size_t _pos = 0;
 };
 
+/**
+ * An arrival stream whose gaps are appended while it is consumed:
+ * a fleet server reads the gaps its balancer has routed so far, and
+ * more follow at every epoch hand-over. close() marks the end; a
+ * closed, drained stream ends like a finished non-looping trace
+ * (nextGap returns kMaxTick). Asking an open stream for a gap it
+ * does not hold yet panics: the consumer must stop short of its last
+ * known arrival, whose dispatch would draw the next gap.
+ */
+class GapStream : public ArrivalProcess
+{
+  public:
+    /** Append @p gaps; the consumed part of the held chunk is freed
+     *  first, so the stream holds one hand-over's worth, not the
+     *  whole run's. */
+    void append(std::vector<sim::Tick> gaps);
+
+    /** No more gaps will be appended. */
+    void close() { _closed = true; }
+
+    sim::Tick nextGap(sim::Rng &rng) override;
+
+    /** Every appended gap's count over their sum: what an
+     *  ArrivalTrace of the same gaps reports, however they were
+     *  chunked. */
+    double ratePerSec() const override;
+
+    /** Sum of every appended gap: the last known arrival's tick. */
+    sim::Tick lastArrival() const { return _lastArrival; }
+
+  private:
+    std::vector<sim::Tick> _gaps;
+    std::size_t _pos = 0;
+    std::uint64_t _count = 0;
+    sim::Tick _lastArrival = 0;
+    bool _closed = false;
+};
+
 } // namespace aw::workload
 
 #endif // AW_WORKLOAD_TRACE_HH

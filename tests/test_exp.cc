@@ -345,6 +345,15 @@ TEST(SweepRunner, FoldsResultsInGridOrder)
     }
 }
 
+TEST(SweepRunner, SlotCarriesNoInlineTimeline)
+{
+    // A sweep allocates one slot per grid cell before any point
+    // runs; the ~19.5 KB timeline series lives out of line, so a
+    // slot with telemetry off stays small.
+    static_assert(sizeof(analysis::TimelineSeries) > 16384);
+    EXPECT_LT(sizeof(PointResult), 2048u);
+}
+
 TEST(SweepRunner, QueryLookupsSelectCoordinates)
 {
     ExperimentSpec spec;

@@ -305,6 +305,88 @@ TEST(FleetKernel, ThreadCountAndEpochAreInvisibleTogether)
     }
 }
 
+TEST(FleetKernel, StreamingBehindTheBalancerIsInvisible)
+{
+    // Beyond one fleet thread and with epochs on, the first 64
+    // servers routed to run behind the balancer: at each epoch
+    // hand-over they get their newly routed gaps (and budget spans)
+    // and advance to one tick before their last known arrival. The
+    // rest run after the pass, and never-routed servers copy the
+    // idle reference. Under pack-first at capacity 1, bursts of 100
+    // arrivals fill 100 of 160 servers, so one run holds all three
+    // kinds. Every policy at 1, 2 and 8 threads, with no epoch, an
+    // epoch between bursts and one longer than the run, must be the
+    // one-thread run, timeline and trace bytes included;
+    // route-to-headroom also runs capped, where budget
+    // redistribution makes the epoch part of the run.
+    struct Case
+    {
+        std::string routing;
+        double capWatts = 0.0;
+    };
+    std::vector<Case> cases;
+    for (const auto &name : routingPolicyNames())
+        cases.push_back(Case{name, 0.0});
+    cases.push_back(Case{"route-to-headroom", 16.0});
+
+    for (const Case &c : cases) {
+        SCOPED_TRACE(testing::Message()
+                     << c.routing << " cap=" << c.capWatts);
+        auto once = [&c](unsigned threads, double epoch_s) {
+            auto fc = kernelFleet(c.routing, 160);
+            fc.packCapacity = 1;
+            fc.fleetThreads = threads;
+            fc.epochSeconds = epoch_s;
+            fc.server.cap.capWatts = c.capWatts;
+            // 100 arrivals 1 ns apart, then 2 ms of quiet.
+            std::vector<sim::Tick> gaps(100, sim::fromNs(1.0));
+            gaps.push_back(sim::fromMs(2.0));
+            FleetSim fleet(fc, workload::WorkloadProfile::memcached(),
+                           1e6);
+            fleet.setArrivalTrace(workload::ArrivalTrace(gaps));
+            analysis::TimelineConfig timeline;
+            timeline.intervalSeconds = 0.001;
+            fleet.enableTimeline(timeline);
+            analysis::TraceConfig trace;
+            trace.capacity = 64; // per server; the rings wrap
+            fleet.enableRequestTrace(trace);
+            return fleet.run(sim::fromMs(5.0), sim::fromMs(0.5));
+        };
+        const bool capped = c.capWatts > 0.0;
+        const auto serial = once(1, 0.0);
+        EXPECT_GT(serial.requests, 0u);
+        EXPECT_EQ(serial.streamed, 0u);
+        if (c.routing == "pack-first") {
+            EXPECT_GT(serial.neverRouted, 0u);
+            EXPECT_GT(serial.servers - serial.neverRouted, 64u);
+        }
+        for (const double epoch_s : {0.0, 0.0013, 0.25}) {
+            SCOPED_TRACE(epoch_s);
+            const bool epoch_shapes_run = capped && epoch_s > 0.0;
+            const auto reference =
+                epoch_shapes_run ? once(1, epoch_s) : serial;
+            EXPECT_EQ(reference.streamed, 0u);
+            for (const unsigned threads : {1u, 2u, 8u}) {
+                if (threads == 1 && (epoch_s == 0.0 || epoch_shapes_run))
+                    continue; // that is the reference itself
+                SCOPED_TRACE(threads);
+                const auto run = once(threads, epoch_s);
+                expectSameRun(reference, run);
+                ASSERT_TRUE(run.timeline && run.trace);
+                EXPECT_EQ(analysis::timelineCsv(*run.timeline),
+                          analysis::timelineCsv(*reference.timeline));
+                EXPECT_EQ(analysis::traceCsv(*run.trace),
+                          analysis::traceCsv(*reference.trace));
+                // With epochs on and a second thread, the first 64
+                // servers routed to stream, even when no boundary
+                // falls inside the run.
+                const bool streams = threads > 1 && epoch_s > 0.0;
+                EXPECT_EQ(run.streamed, streams ? 64u : 0u);
+            }
+        }
+    }
+}
+
 // ------------------------------------------- artifact byte identity
 
 TEST(FleetKernel, SweepArtifactsAreByteIdenticalAcrossKernelKnobs)

@@ -371,7 +371,7 @@ TEST(Sampler, SweepTimelineOverflowIsFlaggedPerPoint)
     spec.timelineIntervalSeconds = 1e-4; // 4500 intervals > 4096
     const auto result = exp::SweepRunner(1).run(spec);
     ASSERT_EQ(result.points.size(), 1u);
-    ASSERT_TRUE(result.points[0].timeline.has_value());
+    ASSERT_NE(result.points[0].timeline, nullptr);
     ASSERT_GT(result.points[0].timeline->dropped, 0u);
 
     testing::internal::CaptureStderr();
