@@ -1,21 +1,15 @@
 #include "analysis/sampler.hh"
 
 #include <algorithm>
-#include <cmath>
 
+#include "analysis/ring.hh"
+#include "sim/format.hh"
 #include "sim/logging.hh"
+#include "sim/stats.hh"
 
 namespace aw::analysis {
 
 namespace {
-
-/** Schedule-independent double rendering (same as the sweep
- *  emitters'). */
-std::string
-num(double v)
-{
-    return sim::strprintf("%.10g", v);
-}
 
 /** Nearest-rank p99 over a *sorted* sample vector (matches
  *  sim::PercentileTracker::percentile semantics). */
@@ -24,11 +18,7 @@ p99Sorted(const std::vector<double> &sorted)
 {
     if (sorted.empty())
         return 0.0;
-    const auto n = static_cast<double>(sorted.size());
-    auto rank = static_cast<std::size_t>(std::ceil(0.99 * n));
-    if (rank == 0)
-        rank = 1;
-    return sorted[rank - 1];
+    return sorted[sim::nearestRank(99.0, sorted.size()) - 1];
 }
 
 } // namespace
@@ -54,14 +44,11 @@ TimelineRecorder::TimelineRecorder(const TimelineConfig &cfg,
     _capacity = cfg.capacity;
     _retainLatencies = cfg.retainLatencies;
 
-    // Preallocate everything the hot path touches: the ring, the
-    // per-core tracks/analyzers and the per-interval latency
-    // scratch (which only regrows past its high-water mark).
+    // The interval rings grow with the run (analysis/ring.hh); the
+    // per-interval latency scratch only regrows past its high-water
+    // mark.
     _cores.resize(cores);
     _analyzers.resize(cores);
-    _ring.resize(_capacity);
-    if (_retainLatencies)
-        _ringLatencies.resize(_capacity);
     _latencies.reserve(256);
     _intervalEnd = _interval;
 }
@@ -123,12 +110,12 @@ TimelineRecorder::closeInterval(sim::Tick t1)
     s.throttledShare =
         sec > 0.0 ? sim::toSec(_throttleTicks) / sec : 0.0;
 
-    const std::size_t slot = _emitted % _capacity;
-    _ring[slot] = s;
+    ringSlot(_ring, _emitted, _capacity) = s;
     if (_retainLatencies) {
         // Swap, don't copy: capacities circulate between the slot
         // and the scratch, so a wrapped ring allocates nothing new.
-        std::swap(_ringLatencies[slot], _latencies);
+        std::swap(ringSlot(_ringLatencies, _emitted, _capacity),
+                  _latencies);
     }
     _latencies.clear();
     ++_emitted;
@@ -164,6 +151,8 @@ TimelineRecorder::onMeasurementStart(sim::Tick now)
     _freqGhzSec = 0.0;
     _requests = 0;
     _latencies.clear();
+    _ring.clear();
+    _ringLatencies.clear();
     _emitted = 0;
     for (unsigned c = 0; c < _cores.size(); ++c) {
         _cores[c].last = now;
@@ -197,18 +186,9 @@ TimelineRecorder::onMeasurementEnd(sim::Tick now)
     _series.interval = _interval;
     _series.cores = static_cast<unsigned>(_cores.size());
     _series.emitted = _emitted;
-    _series.dropped =
-        _emitted > _capacity ? _emitted - _capacity : 0;
-    const std::uint64_t retained = _emitted - _series.dropped;
-    _series.samples.reserve(retained);
-    if (_retainLatencies)
-        _series.latencies.reserve(retained);
-    for (std::uint64_t k = _series.dropped; k < _emitted; ++k) {
-        _series.samples.push_back(_ring[k % _capacity]);
-        if (_retainLatencies)
-            _series.latencies.push_back(
-                _ringLatencies[k % _capacity]);
-    }
+    _series.dropped = _emitted - _ring.size();
+    _series.samples = drainRing(_ring, _emitted);
+    _series.latencies = drainRing(_ringLatencies, _emitted);
     for (const auto &a : _analyzers)
         _series.transitions.merge(a);
     _series.idleObservations = _idleObservations;
@@ -310,12 +290,21 @@ TimelineRecorder::onComplete(unsigned core, std::uint64_t id,
 }
 
 const TimelineSeries &
-TimelineRecorder::series() const
+TimelineRecorder::series() const &
 {
     if (!_done)
         sim::fatal("TimelineRecorder: series() before the run "
                    "finished");
     return _series;
+}
+
+TimelineSeries
+TimelineRecorder::series() &&
+{
+    if (!_done)
+        sim::fatal("TimelineRecorder: series() before the run "
+                   "finished");
+    return std::move(_series);
 }
 
 const TransitionAnalyzer &
@@ -414,22 +403,22 @@ timelineCsvRow(const TimelineSeries &series,
     std::string out = sim::strprintf(
         "%llu,%s,%s,%llu",
         static_cast<unsigned long long>(sample.index),
-        num(sim::toSec(sample.t0 - series.origin)).c_str(),
-        num(sim::toSec(sample.t1 - series.origin)).c_str(),
+        sim::fmtNum(sim::toSec(sample.t0 - series.origin)).c_str(),
+        sim::fmtNum(sim::toSec(sample.t1 - series.origin)).c_str(),
         static_cast<unsigned long long>(sample.requests));
     for (const double v :
          {sample.achievedQps(), sample.powerW, sample.p99Us}) {
         out += ',';
-        out += num(v);
+        out += sim::fmtNum(v);
     }
     for (const double share : sample.residency) {
         out += ',';
-        out += num(share);
+        out += sim::fmtNum(share);
     }
     for (const double v :
          {sample.freqGhz, sample.tempC, sample.throttledShare}) {
         out += ',';
-        out += num(v);
+        out += sim::fmtNum(v);
     }
     return out;
 }
@@ -475,21 +464,22 @@ timelineIntervalsJson(const TimelineSeries &series)
             "\"requests\": %llu, \"achieved_qps\": %s, "
             "\"power_w\": %s, \"p99_us\": %s",
             static_cast<unsigned long long>(s.index),
-            num(sim::toSec(s.t0 - series.origin)).c_str(),
-            num(sim::toSec(s.t1 - series.origin)).c_str(),
+            sim::fmtNum(sim::toSec(s.t0 - series.origin)).c_str(),
+            sim::fmtNum(sim::toSec(s.t1 - series.origin)).c_str(),
             static_cast<unsigned long long>(s.requests),
-            num(s.achievedQps()).c_str(), num(s.powerW).c_str(),
-            num(s.p99Us).c_str());
+            sim::fmtNum(s.achievedQps()).c_str(),
+            sim::fmtNum(s.powerW).c_str(),
+            sim::fmtNum(s.p99Us).c_str());
         out += ", \"residency\": [";
         for (std::size_t r = 0; r < s.residency.size(); ++r) {
             if (r)
                 out += ", ";
-            out += num(s.residency[r]);
+            out += sim::fmtNum(s.residency[r]);
         }
         out += "]";
-        out += ", \"freq_ghz\": " + num(s.freqGhz);
-        out += ", \"temp_c\": " + num(s.tempC);
-        out += ", \"throttled_share\": " + num(s.throttledShare);
+        out += ", \"freq_ghz\": " + sim::fmtNum(s.freqGhz);
+        out += ", \"temp_c\": " + sim::fmtNum(s.tempC);
+        out += ", \"throttled_share\": " + sim::fmtNum(s.throttledShare);
         out += "}";
     }
     out += series.samples.empty() ? "]" : "\n    ]";
@@ -515,8 +505,8 @@ timelineTransitionsJson(const TransitionAnalyzer &map)
                 "\"count\": %llu, \"mean_us\": %s, \"max_us\": %s",
                 cstate::name(from), cstate::name(to),
                 static_cast<unsigned long long>(p.count),
-                num(p.meanLifetimeUs()).c_str(),
-                num(sim::toUs(p.maxLifetime)).c_str());
+                sim::fmtNum(p.meanLifetimeUs()).c_str(),
+                sim::fmtNum(sim::toUs(p.maxLifetime)).c_str());
             // Sparse log2 histogram: [bucket, count] pairs; bucket
             // b holds lifetimes in [2^(b-1), 2^b) picoseconds.
             out += ", \"hist\": [";
@@ -546,7 +536,7 @@ timelineJson(const TimelineSeries &series, const std::string &label)
                           kTimelineSchema);
     out += sim::strprintf("  \"label\": \"%s\",\n", label.c_str());
     out += sim::strprintf("  \"interval_s\": %s,\n",
-                          num(sim::toSec(series.interval)).c_str());
+                          sim::fmtNum(sim::toSec(series.interval)).c_str());
     out += sim::strprintf("  \"cores\": %u,\n", series.cores);
     out += sim::strprintf(
         "  \"intervals_emitted\": %llu,\n"

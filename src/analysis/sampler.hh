@@ -9,8 +9,9 @@
  * (exact energy integral over the interval), pooled p99 latency,
  * per-state residency shares and the core-time mean effective
  * frequency (the DVFS operating point integrated over every core,
- * from onFreqChange) -- emitted into a preallocated ring
- * buffer so the hot path stays allocation-free. A per-core
+ * from onFreqChange) -- emitted into a keep-newest ring that grows
+ * with the run up to its capacity (analysis/ring.hh), so the hot
+ * path allocates only while the ring fills. A per-core
  * TransitionAnalyzer rides along on the same callback stream and a
  * ground-truth cross-check validates every governor observeIdle
  * feedback against the recorder's own idle-period bookkeeping.
@@ -69,7 +70,8 @@ struct TimelineConfig
 
     /** Ring capacity in intervals: the newest `capacity` samples
      *  are retained, older ones are overwritten and counted as
-     *  dropped. Must be > 0. */
+     *  dropped. Must be > 0. A ceiling, not an allocation: the ring
+     *  grows with the intervals a run closes. */
     std::size_t capacity = 4096;
 
     /** Keep each interval's raw latency samples in the series so a
@@ -178,8 +180,12 @@ class TimelineRecorder final : public server::TelemetryObserver
                     double latency_us) override;
     /** @} */
 
-    /** The recorded timeline; valid after onMeasurementEnd. */
-    const TimelineSeries &series() const;
+    /** @{ The recorded timeline; valid after onMeasurementEnd. The
+     *  rvalue overload moves it out
+     *  (std::move(recorder).series()). */
+    const TimelineSeries &series() const &;
+    TimelineSeries series() &&;
+    /** @} */
 
     /** Core @p core's transition map (valid after the run). */
     const TransitionAnalyzer &coreTransitions(unsigned core) const;

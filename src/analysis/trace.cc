@@ -1,37 +1,13 @@
 #include "analysis/trace.hh"
 
 #include <algorithm>
-#include <cmath>
 
+#include "analysis/ring.hh"
+#include "sim/format.hh"
 #include "sim/logging.hh"
+#include "sim/stats.hh"
 
 namespace aw::analysis {
-
-namespace {
-
-/** Schedule-independent double rendering (same as the sweep
- *  emitters'). */
-std::string
-num(double v)
-{
-    return sim::strprintf("%.10g", v);
-}
-
-/** Nearest-rank percentile over a *sorted* tick vector (matches
- *  sim::PercentileTracker::percentile semantics). */
-sim::Tick
-percentileSorted(const std::vector<sim::Tick> &sorted, double p)
-{
-    if (sorted.empty())
-        return 0;
-    const auto n = static_cast<double>(sorted.size());
-    auto rank = static_cast<std::size_t>(std::ceil(p / 100.0 * n));
-    if (rank == 0)
-        rank = 1;
-    return sorted[rank - 1];
-}
-
-} // namespace
 
 // ---------------------------------------------------- RequestTracer
 
@@ -42,11 +18,9 @@ RequestTracer::RequestTracer(const TraceConfig &cfg, unsigned cores)
     if (cores == 0)
         sim::fatal("RequestTracer: need at least one core");
     _capacity = cfg.capacity;
-    // Preallocate everything the hot path touches: the rings and a
-    // small per-core pending buffer (regrows only past its
-    // high-water mark, i.e. queue depths the run never revisits).
-    _spanRing.resize(_capacity);
-    _wakeRing.resize(_capacity);
+    // The rings grow with the run (analysis/ring.hh); the per-core
+    // pending buffers start small and regrow only past their
+    // high-water mark, i.e. queue depths the run never revisits.
     _tracks.resize(cores);
     for (auto &t : _tracks)
         t.fifo.resize(16);
@@ -109,7 +83,9 @@ RequestTracer::onMeasurementStart(sim::Tick now)
     // server's latency tracker.
     _measuring = true;
     _origin = now;
+    _spanRing.clear();
     _spansEmitted = 0;
+    _wakeRing.clear();
     _wakesEmitted = 0;
 }
 
@@ -160,7 +136,7 @@ RequestTracer::onWakeEnd(unsigned core, sim::Tick now)
     track.lastWakeFrom = track.wakeFromState;
     if (!_measuring)
         return;
-    WakeEpisode &slot = _wakeRing[_wakesEmitted % _capacity];
+    WakeEpisode &slot = ringSlot(_wakeRing, _wakesEmitted, _capacity);
     slot.server = 0;
     slot.core = core;
     slot.start = track.wakeStart;
@@ -206,7 +182,7 @@ RequestTracer::onComplete(unsigned core, std::uint64_t id,
     --track.count;
     if (!_measuring)
         return;
-    RequestSpan &slot = _spanRing[_spansEmitted % _capacity];
+    RequestSpan &slot = ringSlot(_spanRing, _spansEmitted, _capacity);
     slot.id = p.id;
     slot.server = 0;
     slot.core = core;
@@ -230,34 +206,27 @@ RequestTracer::onMeasurementEnd(sim::Tick now)
     _series.servers = 1;
     _series.cores = static_cast<unsigned>(_tracks.size());
     _series.emitted = _spansEmitted;
+    _series.dropped = _spansEmitted - _spanRing.size();
+    _series.spans = drainRing(_spanRing, _spansEmitted);
     _series.wakesEmitted = _wakesEmitted;
-
-    const std::uint64_t kept =
-        std::min<std::uint64_t>(_spansEmitted, _capacity);
-    _series.dropped = _spansEmitted - kept;
-    _series.spans.reserve(kept);
-    for (std::uint64_t k = 0; k < kept; ++k) {
-        const std::uint64_t first = _spansEmitted - kept;
-        _series.spans.push_back(
-            _spanRing[(first + k) % _capacity]);
-    }
-    const std::uint64_t wkept =
-        std::min<std::uint64_t>(_wakesEmitted, _capacity);
-    _series.wakesDropped = _wakesEmitted - wkept;
-    _series.wakes.reserve(wkept);
-    for (std::uint64_t k = 0; k < wkept; ++k) {
-        const std::uint64_t first = _wakesEmitted - wkept;
-        _series.wakes.push_back(
-            _wakeRing[(first + k) % _capacity]);
-    }
+    _series.wakesDropped = _wakesEmitted - _wakeRing.size();
+    _series.wakes = drainRing(_wakeRing, _wakesEmitted);
 }
 
 const TraceSeries &
-RequestTracer::series() const
+RequestTracer::series() const &
 {
     if (!_done)
         sim::fatal("RequestTracer: series() before the run ended");
     return _series;
+}
+
+TraceSeries
+RequestTracer::series() &&
+{
+    if (!_done)
+        sim::fatal("RequestTracer: series() before the run ended");
+    return std::move(_series);
 }
 
 // ------------------------------------------------------ mergeTraces
@@ -400,9 +369,20 @@ attributeTail(const TraceSeries &series)
     latencies.reserve(series.spans.size());
     for (const auto &span : series.spans)
         latencies.push_back(span.latency());
-    std::sort(latencies.begin(), latencies.end());
-    const sim::Tick p99 = percentileSorted(latencies, 99.0);
-    const sim::Tick p999 = percentileSorted(latencies, 99.9);
+    // Two rank selections, not a sort: the p99.9 rank is at or past
+    // the p99 one, so the second selection only scans the part the
+    // first left at or above p99.
+    const std::size_t n = latencies.size();
+    const auto at99 = latencies.begin() +
+                      static_cast<std::ptrdiff_t>(
+                          sim::nearestRank(99.0, n) - 1);
+    std::nth_element(latencies.begin(), at99, latencies.end());
+    const sim::Tick p99 = *at99;
+    const auto at999 = latencies.begin() +
+                       static_cast<std::ptrdiff_t>(
+                           sim::nearestRank(99.9, n) - 1);
+    std::nth_element(at99, at999, latencies.end());
+    const sim::Tick p999 = *at999;
     attr.p99Us = sim::toUs(p99);
     attr.p999Us = sim::toUs(p999);
 
@@ -441,21 +421,21 @@ traceCsvRow(const TraceSeries &series, const RequestSpan &span)
     // A span can straddle the warmup boundary (arrival during
     // warmup, completion measured): render a negative arrival_s
     // rather than wrapping the unsigned tick difference.
-    out += num(span.arrival >= series.origin
-                   ? sim::toSec(span.arrival - series.origin)
-                   : -sim::toSec(series.origin - span.arrival));
+    out += sim::fmtNum(span.arrival >= series.origin
+                           ? sim::toSec(span.arrival - series.origin)
+                           : -sim::toSec(series.origin - span.arrival));
     out += ',';
-    out += num(sim::toUs(span.routing()));
+    out += sim::fmtNum(sim::toUs(span.routing()));
     out += ',';
-    out += num(sim::toUs(span.queueWait()));
+    out += sim::fmtNum(sim::toUs(span.queueWait()));
     out += ',';
-    out += num(sim::toUs(span.wake));
+    out += sim::fmtNum(sim::toUs(span.wake));
     out += ',';
     out += cstate::name(span.wakeFrom);
     out += ',';
-    out += num(sim::toUs(span.service()));
+    out += sim::fmtNum(sim::toUs(span.service()));
     out += ',';
-    out += num(sim::toUs(span.latency()));
+    out += sim::fmtNum(sim::toUs(span.latency()));
     out += '\n';
     return out;
 }
@@ -495,22 +475,22 @@ cohortJson(const CohortStats &st, const char *indent)
            sim::strprintf(
                "%llu", static_cast<unsigned long long>(st.count)) +
            ",\n";
-    out += in + "  \"threshold_us\": " + num(st.thresholdUs) + ",\n";
+    out += in + "  \"threshold_us\": " + sim::fmtNum(st.thresholdUs) + ",\n";
     out +=
-        in + "  \"mean_latency_us\": " + num(st.meanLatencyUs) +
+        in + "  \"mean_latency_us\": " + sim::fmtNum(st.meanLatencyUs) +
         ",\n";
     out +=
-        in + "  \"mean_routing_us\": " + num(st.meanRoutingUs) +
+        in + "  \"mean_routing_us\": " + sim::fmtNum(st.meanRoutingUs) +
         ",\n";
-    out += in + "  \"mean_queue_us\": " + num(st.meanQueueUs) + ",\n";
-    out += in + "  \"mean_wake_us\": " + num(st.meanWakeUs) + ",\n";
+    out += in + "  \"mean_queue_us\": " + sim::fmtNum(st.meanQueueUs) + ",\n";
+    out += in + "  \"mean_wake_us\": " + sim::fmtNum(st.meanWakeUs) + ",\n";
     out +=
-        in + "  \"mean_service_us\": " + num(st.meanServiceUs) +
+        in + "  \"mean_service_us\": " + sim::fmtNum(st.meanServiceUs) +
         ",\n";
-    out += in + "  \"routing_share\": " + num(st.routingShare) + ",\n";
-    out += in + "  \"queue_share\": " + num(st.queueShare) + ",\n";
-    out += in + "  \"wake_share\": " + num(st.wakeShare) + ",\n";
-    out += in + "  \"service_share\": " + num(st.serviceShare) + ",\n";
+    out += in + "  \"routing_share\": " + sim::fmtNum(st.routingShare) + ",\n";
+    out += in + "  \"queue_share\": " + sim::fmtNum(st.queueShare) + ",\n";
+    out += in + "  \"wake_share\": " + sim::fmtNum(st.wakeShare) + ",\n";
+    out += in + "  \"service_share\": " + sim::fmtNum(st.serviceShare) + ",\n";
     out += in + "  \"wake_by_state\": [\n";
     for (std::size_t s = 0; s < cstate::kNumCStates; ++s) {
         out += in + "    {\"state\": \"" +
@@ -519,9 +499,9 @@ cohortJson(const CohortStats &st, const char *indent)
                sim::strprintf("%llu",
                               static_cast<unsigned long long>(
                                   st.wakeCount[s])) +
-               ", \"mean_wake_us\": " + num(st.wakeMeanUs[s]) +
+               ", \"mean_wake_us\": " + sim::fmtNum(st.wakeMeanUs[s]) +
                ", \"share_of_latency\": " +
-               num(st.wakeShareOfLatency[s]) + "}";
+               sim::fmtNum(st.wakeShareOfLatency[s]) + "}";
         out += s + 1 < cstate::kNumCStates ? ",\n" : "\n";
     }
     out += in + "  ]\n";
@@ -553,7 +533,7 @@ attributionJson(const TraceSeries &series, const std::string &label)
     out += sim::strprintf("  \"servers\": %u,\n", series.servers);
     out += sim::strprintf("  \"cores\": %u,\n", series.cores);
     out += "  \"window_s\": " +
-           num(sim::toSec(series.end - series.origin)) + ",\n";
+           sim::fmtNum(sim::toSec(series.end - series.origin)) + ",\n";
     out += sim::strprintf(
         "  \"spans\": %llu,\n",
         static_cast<unsigned long long>(series.spans.size()));
@@ -569,8 +549,8 @@ attributionJson(const TraceSeries &series, const std::string &label)
     out += sim::strprintf(
         "  \"routing_decisions\": %llu,\n",
         static_cast<unsigned long long>(series.routingEmitted));
-    out += "  \"p99_us\": " + num(attr.p99Us) + ",\n";
-    out += "  \"p999_us\": " + num(attr.p999Us) + ",\n";
+    out += "  \"p99_us\": " + sim::fmtNum(attr.p99Us) + ",\n";
+    out += "  \"p999_us\": " + sim::fmtNum(attr.p999Us) + ",\n";
     out += "  \"cohorts\": {\n";
     out += "    \"all\": " + cohortJson(attr.all, "    ") + ",\n";
     out += "    \"p99\": " + cohortJson(attr.p99, "    ") + ",\n";
@@ -616,9 +596,9 @@ chromeTraceJson(const TraceSeries &series)
     const auto ts = [&](sim::Tick t) {
         // A wake episode carried over from warmup can start before
         // the origin: render a (tiny) negative timestamp.
-        return num(t >= series.origin
-                       ? sim::toUs(t - series.origin)
-                       : -sim::toUs(series.origin - t));
+        return sim::fmtNum(t >= series.origin
+                               ? sim::toUs(t - series.origin)
+                               : -sim::toUs(series.origin - t));
     };
     std::string out = "{\n";
     out += "\"displayTimeUnit\": \"ns\",\n";
@@ -661,7 +641,7 @@ chromeTraceJson(const TraceSeries &series)
                  "\"ph\": \"X\", \"pid\": %u, \"tid\": %u, ",
                  cstate::name(w.from), w.server, w.core) +
              "\"ts\": " + ts(w.start) +
-             ", \"dur\": " + num(sim::toUs(w.end - w.start)) +
+             ", \"dur\": " + sim::fmtNum(sim::toUs(w.end - w.start)) +
              sim::strprintf(", \"cname\": \"%s\", "
                             "\"args\": {\"from\": \"%s\"}}",
                             wakeColor(w.from),
@@ -673,15 +653,15 @@ chromeTraceJson(const TraceSeries &series)
                  "\"ph\": \"X\", \"pid\": %u, \"tid\": %u, ",
                  span.server, span.core) +
              "\"ts\": " + ts(span.serviceStart) +
-             ", \"dur\": " + num(sim::toUs(span.service())) +
+             ", \"dur\": " + sim::fmtNum(sim::toUs(span.service())) +
              sim::strprintf(
                  ", \"args\": {\"id\": %llu, ",
                  static_cast<unsigned long long>(span.id)) +
-             "\"queue_us\": " + num(sim::toUs(span.queueWait())) +
-             ", \"wake_us\": " + num(sim::toUs(span.wake)) +
+             "\"queue_us\": " + sim::fmtNum(sim::toUs(span.queueWait())) +
+             ", \"wake_us\": " + sim::fmtNum(sim::toUs(span.wake)) +
              sim::strprintf(", \"wake_from\": \"%s\", ",
                             cstate::name(span.wakeFrom)) +
-             "\"latency_us\": " + num(sim::toUs(span.latency())) +
+             "\"latency_us\": " + sim::fmtNum(sim::toUs(span.latency())) +
              "}}");
     }
     for (const auto &r : series.routing) {

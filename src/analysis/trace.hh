@@ -17,11 +17,12 @@
  *
  * The tracer is strictly passive (no events scheduled, no
  * simulation RNG drawn; the awperf fleet_sweep_trace scenario pins
- * identical kernel event counts in CI) and its hot path is
- * allocation-free in steady state: spans land in a preallocated
- * keep-newest ring (`dropped` counts overwritten records) and the
- * per-core pending queues are reusable circular buffers that only
- * grow past their high-water mark.
+ * identical kernel event counts in CI). Spans land in a keep-newest
+ * ring that grows with the run up to its capacity (analysis/ring.hh;
+ * `dropped` counts overwritten records), so the hot path allocates
+ * only while the ring fills, and the per-core pending queues are
+ * reusable circular buffers that only grow past their high-water
+ * mark.
  *
  * TailAttribution is the consumer the paper's story needs: for the
  * full population and the p99/p99.9 cohorts (nearest-rank
@@ -61,9 +62,10 @@ struct TraceConfig
 {
     /** Span/episode ring capacity: the newest `capacity` records
      *  are retained, older ones are overwritten and counted as
-     *  dropped. Must be > 0. The default comfortably holds every
-     *  measured request of the golden sweep points (tests assert
-     *  dropped == 0 there). */
+     *  dropped. Must be > 0. A ceiling, not an allocation: the
+     *  rings grow with the records a run makes. The default
+     *  comfortably holds every measured request of the golden
+     *  sweep points (tests assert dropped == 0 there). */
     std::size_t capacity = std::size_t(1) << 17;
 };
 
@@ -171,8 +173,11 @@ class RequestTracer final : public server::TelemetryObserver
                     double latency_us) override;
     /** @} */
 
-    /** The recorded trace; valid after onMeasurementEnd. */
-    const TraceSeries &series() const;
+    /** @{ The recorded trace; valid after onMeasurementEnd. The
+     *  rvalue overload moves it out (std::move(tracer).series()). */
+    const TraceSeries &series() const &;
+    TraceSeries series() &&;
+    /** @} */
 
   private:
     /** A request between arrival and completion. */
@@ -211,7 +216,7 @@ class RequestTracer final : public server::TelemetryObserver
     std::size_t _capacity = 0;
     std::vector<CoreTrack> _tracks;
 
-    /** @{ Keep-newest rings (slot = emitted % capacity). */
+    /** @{ Keep-newest rings (analysis/ring.hh). */
     std::vector<RequestSpan> _spanRing;
     std::uint64_t _spansEmitted = 0;
     std::vector<WakeEpisode> _wakeRing;

@@ -418,9 +418,9 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
         ServerSlot &slot = slots[i];
         slot.result = run.srv->finish();
         if (run.recorder)
-            timelines[i] = run.recorder->series();
+            timelines[i] = std::move(*run.recorder).series();
         if (run.tracer)
-            traces[i] = run.tracer->series();
+            traces[i] = std::move(*run.tracer).series();
         slot.latency = run.srv->latencySamples().sortedSamples();
     };
 

@@ -4,18 +4,12 @@
 
 #include "analysis/sampler.hh"
 #include "analysis/trace.hh"
+#include "sim/format.hh"
 #include "sim/logging.hh"
 
 namespace aw::exp {
 
 namespace {
-
-/** Schedule-independent double rendering ("%.10g"). */
-std::string
-num(double v)
-{
-    return sim::strprintf("%.10g", v);
-}
 
 /** Quote a CSV field only when it needs it. */
 std::string
@@ -101,14 +95,14 @@ const Coordinate kCoordinates[] = {
     {"freq_policy", [](const auto &s) { return !s.freqPolicies.empty(); },
      true, [](const auto &p) { return p.freqPolicy; }},
     {"slo_us", [](const auto &s) { return !s.sloUs.empty(); }, false,
-     [](const auto &p) { return num(p.sloUs); }},
+     [](const auto &p) { return sim::fmtNum(p.sloUs); }},
     {"cap_w", [](const auto &s) { return !s.capWatts.empty(); }, false,
-     [](const auto &p) { return num(p.capWatts); }},
+     [](const auto &p) { return sim::fmtNum(p.capWatts); }},
     {"policy", nullptr, true, [](const auto &p) { return p.policy; }},
     {"variant", nullptr, true, [](const auto &p) { return p.variant; }},
     {"servers", nullptr, false,
      [](const auto &p) { return std::to_string(p.servers); }},
-    {"qps", nullptr, false, [](const auto &p) { return num(p.qps); }},
+    {"qps", nullptr, false, [](const auto &p) { return sim::fmtNum(p.qps); }},
     {"replica", nullptr, false,
      [](const auto &p) { return std::to_string(p.replica); }},
 };
@@ -191,16 +185,16 @@ toCsv(const SweepResult &result)
               p.deepIdleShare, p.minServerDeepShare,
               p.maxServerDeepShare, p.busiestShareOfLoad}) {
             out += ',';
-            out += num(v);
+            out += sim::fmtNum(v);
         }
         for (const double share : p.residency) {
             out += ',';
-            out += num(share);
+            out += sim::fmtNum(share);
         }
         for (const auto &[key, value] : p.extras) {
             (void)key;
             out += ',';
-            out += num(value);
+            out += sim::fmtNum(value);
         }
         out += '\n';
     }
@@ -239,16 +233,16 @@ toJson(const SweepResult &result)
         };
         for (const auto &[key, value] : metrics)
             out += sim::strprintf(", \"%s\": %s", key,
-                                  num(value).c_str());
+                                  sim::fmtNum(value).c_str());
         out += ", \"residency\": [";
         for (std::size_t s = 0; s < p.residency.size(); ++s) {
             if (s)
                 out += ", ";
-            out += num(p.residency[s]);
+            out += sim::fmtNum(p.residency[s]);
         }
         out += "]";
         for (const auto &[key, value] : p.extras)
-            out += ", " + jsonString(key) + ": " + num(value);
+            out += ", " + jsonString(key) + ": " + sim::fmtNum(value);
         out += "}";
     }
     out += "\n  ]\n}\n";
@@ -324,7 +318,7 @@ toTimelineJson(const SweepResult &result)
     out += sim::strprintf("  \"seed\": %llu,\n",
                           static_cast<unsigned long long>(spec.seed));
     out += sim::strprintf("  \"interval_s\": %s,\n",
-                          num(spec.timelineIntervalSeconds).c_str());
+                          sim::fmtNum(spec.timelineIntervalSeconds).c_str());
     out += "  \"points\": [";
     for (std::size_t i = 0; i < result.points.size(); ++i) {
         const auto &p = result.points[i];
@@ -417,11 +411,11 @@ toTraceCsv(const SweepResult &result)
               attr.p999.queueShare, attr.p999.serviceShare,
               attr.p999.routingShare}) {
             out += ',';
-            out += num(v);
+            out += sim::fmtNum(v);
         }
         for (const double share : attr.p99.wakeShareOfLatency) {
             out += ',';
-            out += num(share);
+            out += sim::fmtNum(share);
         }
         out += '\n';
     }
@@ -451,9 +445,9 @@ toTraceJson(const SweepResult &result)
             static_cast<unsigned long long>(attr.spans),
             static_cast<unsigned long long>(attr.emitted),
             static_cast<unsigned long long>(attr.dropped));
-        out += ", \"p99_us\": " + num(attr.p99Us);
-        out += ", \"p999_us\": " + num(attr.p999Us);
-        out += ", \"p999_latency_us\": " + num(p.p999LatencyUs);
+        out += ", \"p99_us\": " + sim::fmtNum(attr.p99Us);
+        out += ", \"p999_us\": " + sim::fmtNum(attr.p999Us);
+        out += ", \"p999_latency_us\": " + sim::fmtNum(p.p999LatencyUs);
         out += ",\n    \"cohorts\": " +
                analysis::attributionCohortsJson(attr) + "}";
     }

@@ -196,7 +196,7 @@ SweepRunner::runPoint(const ExperimentSpec &spec, const GridPoint &pt)
                                     : srv.run();
         if (recorder)
             res.timeline = std::make_shared<analysis::TimelineSeries>(
-                recorder->series());
+                std::move(*recorder).series());
         if (tracer) {
             res.trace = analysis::attributeTail(tracer->series());
             res.p999LatencyUs = r.p999LatencyUs;

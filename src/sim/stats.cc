@@ -29,7 +29,8 @@ checkPercentile(double p)
         panic("percentile out of range: %f", p);
 }
 
-/** Nearest-rank: ceil(p/100 * n), 1-based, at least 1 (n > 0). */
+} // namespace
+
 std::size_t
 nearestRank(double p, std::size_t n)
 {
@@ -37,8 +38,6 @@ nearestRank(double p, std::size_t n)
         std::ceil(p / 100.0 * static_cast<double>(n)));
     return std::max<std::size_t>(rank, 1);
 }
-
-} // namespace
 
 const std::vector<double> &
 PercentileTracker::sortedSamples() const

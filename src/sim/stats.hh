@@ -146,6 +146,13 @@ class PercentileTracker
 };
 
 /**
+ * The nearest-rank rule every percentile in the simulator uses: the
+ * 1-based rank ceil(p/100 * n), at least 1, of the p-th percentile
+ * among @p n > 0 ascending samples.
+ */
+std::size_t nearestRank(double p, std::size_t n);
+
+/**
  * Nearest-rank percentiles of the union of @p runs, each sorted
  * ascending, without pooling them: the result equals
  * PercentileTracker::percentile(ps[i]) over the concatenated runs,

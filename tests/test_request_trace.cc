@@ -15,6 +15,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -70,6 +71,78 @@ TEST(RequestTracer, RingKeepsTheNewestSpansAndCountsDrops)
         EXPECT_EQ(s.spans[k].id, 6 + k); // oldest retained first
         EXPECT_EQ(s.spans[k].latency(), 30u);
     }
+}
+
+/** Record @p n requests (each behind a wake episode) through a
+ *  capacity-@p cap tracer and return its series, moved out. */
+TraceSeries
+traceOf(std::size_t cap, std::uint64_t n)
+{
+    RequestTracer t(cfgWith(cap), 1);
+    t.onMeasurementStart(0);
+    for (std::uint64_t id = 0; id < n; ++id) {
+        const sim::Tick base = 1000 * id;
+        t.onWakeStart(0, base, cstate::CStateId::C6A);
+        t.onWakeEnd(0, base + 5);
+        // Latency varies with id so a misplaced span shows.
+        oneRequest(t, id, base, base + 10, base + 20 + id);
+    }
+    t.onMeasurementEnd(1000 * (n + 1));
+    return std::move(t).series();
+}
+
+TEST(RequestTracer, RingBoundariesKeepTheNewestRecords)
+{
+    constexpr std::size_t cap = 5;
+    for (const std::uint64_t n : std::initializer_list<std::uint64_t>{
+             0, 1, cap - 1, cap, cap + 1, 2 * cap + 3}) {
+        SCOPED_TRACE(n);
+        const TraceSeries s = traceOf(cap, n);
+        // Keep-newest reference: the last min(n, cap) records.
+        const std::uint64_t kept = std::min<std::uint64_t>(n, cap);
+        EXPECT_EQ(s.emitted, n);
+        EXPECT_EQ(s.dropped, n - kept);
+        EXPECT_EQ(s.wakesEmitted, n);
+        EXPECT_EQ(s.wakesDropped, n - kept);
+        ASSERT_EQ(s.spans.size(), kept);
+        ASSERT_EQ(s.wakes.size(), kept);
+        for (std::uint64_t k = 0; k < kept; ++k) {
+            const std::uint64_t id = n - kept + k;
+            EXPECT_EQ(s.spans[k].id, id);
+            EXPECT_EQ(s.spans[k].arrival, 1000 * id);
+            EXPECT_EQ(s.spans[k].latency(), 20 + id);
+            EXPECT_EQ(s.spans[k].wake, 5u);
+            EXPECT_EQ(s.wakes[k].start, 1000 * id);
+            EXPECT_EQ(s.wakes[k].end, 1000 * id + 5);
+        }
+    }
+}
+
+TEST(RequestTracer, MemoryFollowsTheRecordsNotTheCapacity)
+{
+    // The default ring ceiling is 2^17 records; a run that made 100
+    // must not hold storage for the ceiling.
+    const TraceSeries s = traceOf(TraceConfig{}.capacity, 100);
+    ASSERT_EQ(s.spans.size(), 100u);
+    ASSERT_EQ(s.wakes.size(), 100u);
+    EXPECT_LE(s.spans.capacity(), 256u);
+    EXPECT_LE(s.wakes.capacity(), 256u);
+}
+
+TEST(RequestTracer, MovedOutSeriesEqualsTheReadOne)
+{
+    RequestTracer t(cfgWith(3), 1);
+    t.onMeasurementStart(0);
+    for (std::uint64_t id = 0; id < 7; ++id)
+        oneRequest(t, id, 100 * id, 100 * id + 1, 100 * id + 2);
+    t.onMeasurementEnd(1000);
+    const TraceSeries read = t.series();
+    const TraceSeries moved = std::move(t).series();
+    EXPECT_EQ(moved.emitted, read.emitted);
+    EXPECT_EQ(moved.dropped, read.dropped);
+    ASSERT_EQ(moved.spans.size(), read.spans.size());
+    for (std::size_t k = 0; k < read.spans.size(); ++k)
+        EXPECT_EQ(moved.spans[k].id, read.spans[k].id);
 }
 
 TEST(RequestTracer, OverflowedRingIsFlaggedInCsvAndOnStderr)
@@ -334,6 +407,72 @@ TEST(AttributeTail, MatchesABruteForceReference)
                          static_cast<double>(latency));
     // Shares of any cohort tile 1 exactly in the integer domain.
     EXPECT_EQ(routing + queue + wake + service, latency);
+}
+
+/** attributeTail over @p n spans with latencies drawn from
+ *  [1, range] must equal a full-sort nearest-rank reference. */
+void
+expectSelectionMatchesASort(std::size_t n, std::uint64_t range,
+                            std::mt19937_64 &rng)
+{
+    SCOPED_TRACE(testing::Message() << n << " spans, range " << range);
+    TraceSeries s;
+    for (std::size_t k = 0; k < n; ++k) {
+        RequestSpan span;
+        span.id = k;
+        span.arrival = span.dispatch = span.serviceStart = 1000 * k;
+        span.completion = span.arrival + 1 + rng() % range;
+        s.spans.push_back(span);
+    }
+    s.emitted = n;
+
+    std::vector<sim::Tick> sorted;
+    for (const auto &span : s.spans)
+        sorted.push_back(span.latency());
+    std::sort(sorted.begin(), sorted.end());
+    const auto rankOf = [&](double p) {
+        const auto r = static_cast<std::size_t>(
+            std::ceil(p / 100.0 * static_cast<double>(n)));
+        return std::max<std::size_t>(r, 1);
+    };
+    const sim::Tick p99 = sorted[rankOf(99.0) - 1];
+    const sim::Tick p999 = sorted[rankOf(99.9) - 1];
+    std::uint64_t count99 = 0, lat99 = 0, count999 = 0, lat999 = 0;
+    for (const auto &span : s.spans) {
+        if (span.latency() >= p99) {
+            ++count99;
+            lat99 += span.latency();
+        }
+        if (span.latency() >= p999) {
+            ++count999;
+            lat999 += span.latency();
+        }
+    }
+
+    const TailAttribution attr = attributeTail(s);
+    EXPECT_EQ(attr.p99Us, sim::toUs(p99));
+    EXPECT_EQ(attr.p999Us, sim::toUs(p999));
+    EXPECT_EQ(attr.p99.thresholdUs, sim::toUs(p99));
+    EXPECT_EQ(attr.p999.thresholdUs, sim::toUs(p999));
+    EXPECT_EQ(attr.all.count, n);
+    EXPECT_EQ(attr.p99.count, count99);
+    EXPECT_EQ(attr.p999.count, count999);
+    EXPECT_EQ(attr.p99.meanLatencyUs,
+              sim::toUs(lat99) / static_cast<double>(count99));
+    EXPECT_EQ(attr.p999.meanLatencyUs,
+              sim::toUs(lat999) / static_cast<double>(count999));
+}
+
+TEST(AttributeTail, RankSelectionMatchesAFullSortWithTies)
+{
+    std::mt19937_64 rng(42);
+    for (const std::size_t n : std::initializer_list<std::size_t>{
+             1, 2, 99, 100, 101, 1000, 1001, 20000}) {
+        // A narrow range puts ties across the ranks; a wide one
+        // leaves the selections many distinct values to order.
+        expectSelectionMatchesASort(n, 37, rng);
+        expectSelectionMatchesASort(n, 1000000, rng);
+    }
 }
 
 TEST(AttributeTail, EmptySeriesYieldsZeros)

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "analysis/sampler.hh"
 #include "exp/emit.hh"
@@ -116,6 +118,63 @@ TEST(Sampler, RingKeepsNewestAndCountsDropped)
         EXPECT_EQ(s.samples[i].index, 6u + i);
         EXPECT_EQ(s.samples[i].t0, (6 + i) * kIv);
     }
+}
+
+/** Close @p n 1 ms intervals through a capacity-@p cap recorder
+ *  that retains latencies; interval k sees (k % 3) + 1 completions
+ *  of latencies 100k + j + 1, fed in descending order. */
+TimelineSeries
+timelineOf(std::size_t cap, std::uint64_t n)
+{
+    TimelineConfig tc = cfgWith(1e-3, cap);
+    tc.retainLatencies = true;
+    TimelineRecorder rec(tc, 1);
+    rec.onMeasurementStart(0);
+    for (std::uint64_t k = 0; k < n; ++k) {
+        for (std::uint64_t j = k % 3 + 1; j-- > 0;) {
+            rec.onComplete(0, 0, k * kIv + 1 + j,
+                           static_cast<double>(100 * k + j + 1));
+        }
+    }
+    rec.onMeasurementEnd(n * kIv);
+    return std::move(rec).series();
+}
+
+TEST(Sampler, RingBoundariesKeepTheNewestIntervalsAndLatencies)
+{
+    constexpr std::size_t cap = 5;
+    for (const std::uint64_t n : std::initializer_list<std::uint64_t>{
+             0, 1, cap - 1, cap, cap + 1, 2 * cap + 3}) {
+        SCOPED_TRACE(n);
+        const TimelineSeries s = timelineOf(cap, n);
+        // Keep-newest reference: the last min(n, cap) intervals.
+        const std::uint64_t kept = std::min<std::uint64_t>(n, cap);
+        EXPECT_EQ(s.emitted, n);
+        EXPECT_EQ(s.dropped, n - kept);
+        ASSERT_EQ(s.samples.size(), kept);
+        ASSERT_EQ(s.latencies.size(), kept);
+        for (std::uint64_t i = 0; i < kept; ++i) {
+            const std::uint64_t k = n - kept + i;
+            EXPECT_EQ(s.samples[i].index, k);
+            EXPECT_EQ(s.samples[i].t0, k * kIv);
+            EXPECT_EQ(s.samples[i].requests, k % 3 + 1);
+            std::vector<double> want;
+            for (std::uint64_t j = 0; j < k % 3 + 1; ++j)
+                want.push_back(static_cast<double>(100 * k + j + 1));
+            EXPECT_EQ(s.latencies[i], want); // sorted ascending
+        }
+    }
+}
+
+TEST(Sampler, MemoryFollowsTheIntervalsNotTheCapacity)
+{
+    // A default-capacity (4096-interval) ring that closed 100
+    // intervals holds storage for about 100, not 4096.
+    const TimelineSeries s =
+        timelineOf(TimelineConfig{}.capacity, 100);
+    ASSERT_EQ(s.samples.size(), 100u);
+    EXPECT_LE(s.samples.capacity(), 256u);
+    EXPECT_LE(s.latencies.capacity(), 256u);
 }
 
 TEST(Sampler, ResidencyAndEnergyIntegrals)
