@@ -3,7 +3,7 @@
 
 Usage:
     check_docs.py [--bin-dir build] [--docs-dir docs]
-                  [--tools awsim,awsweep,awperf]
+                  [--tools awsim,awsweep]
 
 Runs each tool with --help, extracts every `--flag` token from the
 usage text, and fails unless each token appears verbatim somewhere
@@ -32,7 +32,7 @@ import sys
 #: is fine -- both are real flags -- but `…-json` alone is not).
 FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9]*(?:-[a-z0-9]+)*")
 
-DEFAULT_TOOLS = ("awsim", "awsweep", "awperf")
+DEFAULT_TOOLS = ("awsim", "awsweep")
 
 
 def help_text(binary):

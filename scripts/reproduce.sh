@@ -113,35 +113,6 @@ else
     echo "[reproduce] warning: awsweep not built; skipping tail attribution" >&2
 fi
 
-# Kernel speed telemetry: the pinned awperf scenarios, as both the
-# human-readable table and the machine-readable BENCH_perf.json the
-# CI perf gate consumes. The registry includes fleet_10k (a
-# 10,000-server diurnal day through the epoch-parallel fleet
-# kernel, ~13 s per repeat single-core), so this step dominates
-# the script's runtime. When a stored baseline exists the gate
-# script reports the local ratios too (informational here -- the
-# hard >2x gate runs in CI, where the runner class is known).
-AWPERF="$BUILD_DIR/awperf"
-if [ -x "$AWPERF" ]; then
-    echo "[reproduce] awperf -> results/BENCH_perf.{txt,json}"
-    if ! "$AWPERF" --repeat 3 --json "$RESULTS_DIR/BENCH_perf.json" \
-            >"$RESULTS_DIR/BENCH_perf.txt" 2>&1; then
-        echo "[reproduce] FAILED: awperf" \
-             "(see results/BENCH_perf.txt)" >&2
-        failed=1
-    elif [ -f "$ROOT/bench/baselines/perf_baseline.json" ] \
-            && command -v python3 >/dev/null 2>&1; then
-        python3 "$ROOT/scripts/check_perf.py" \
-            "$RESULTS_DIR/BENCH_perf.json" \
-            "$ROOT/bench/baselines/perf_baseline.json" \
-            || echo "[reproduce] note: local perf below stored" \
-                    "baseline (informational; CI gate is" \
-                    "authoritative)" >&2
-    fi
-else
-    echo "[reproduce] warning: awperf not built; skipping perf telemetry" >&2
-fi
-
 if [ "$failed" -ne 0 ]; then
     exit 1
 fi

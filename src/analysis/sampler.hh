@@ -34,7 +34,7 @@
  *     `emitted` keeps counting).
  *
  * Serialized form: the versioned `aw-timeline/3` CSV/JSON schema
- * (docs/TELEMETRY.md), stable like `aw-perf/1`. (/2 appended the
+ * (docs/TELEMETRY.md), stable like `aw-trace/1`. (/2 appended the
  * freq_ghz column to /1; /3 appended temp_c and throttled_share;
  * there is no in-place schema evolution -- see the versioning
  * policy in docs/TELEMETRY.md.)

@@ -16,13 +16,13 @@
  * most recent wake episode with [arrival, serviceStart].
  *
  * The tracer is strictly passive (no events scheduled, no
- * simulation RNG drawn; the awperf fleet_sweep_trace scenario pins
- * identical kernel event counts in CI). Spans land in a keep-newest
- * ring that grows with the run up to its capacity (analysis/ring.hh;
- * `dropped` counts overwritten records), so the hot path allocates
- * only while the ring fills, and the per-core pending queues are
- * reusable circular buffers that only grow past their high-water
- * mark.
+ * simulation RNG drawn; tests/test_request_trace.cc pins identical
+ * kernel event and request counts with it on and off). Spans land
+ * in a keep-newest ring that grows with the run up to its capacity
+ * (analysis/ring.hh; `dropped` counts overwritten records), so the
+ * hot path allocates only while the ring fills, and the per-core
+ * pending queues are reusable circular buffers that only grow past
+ * their high-water mark.
  *
  * TailAttribution is the consumer the paper's story needs: for the
  * full population and the p99/p99.9 cohorts (nearest-rank

@@ -149,6 +149,16 @@ coordinates(const ExperimentSpec &spec, const GridPoint &pt, bool json)
 
 } // namespace
 
+std::vector<SweptAxis>
+sweptAxes(const ExperimentSpec &spec)
+{
+    std::vector<SweptAxis> out;
+    for (const auto &c : kCoordinates)
+        if (c.swept && c.swept(spec))
+            out.push_back({c.name, c.value});
+    return out;
+}
+
 std::string
 csvHeader(const SweepResult &result)
 {

@@ -13,6 +13,7 @@
 #define AW_EXP_EMIT_HH
 
 #include <string>
+#include <vector>
 
 #include "exp/runner.hh"
 
@@ -31,6 +32,19 @@ namespace aw::exp {
  * res_c6ae,res_c6 and the extras columns, taken from the first point.
  */
 std::string csvHeader(const SweepResult &result);
+
+/** An optional grid coordinate: an artifact column that exists only
+ *  when the spec swept its axis. */
+struct SweptAxis
+{
+    const char *name; //!< the artifact column name
+    /** The point's cell, rendered as the artifacts render it. */
+    std::string (*value)(const GridPoint &);
+};
+
+/** The optional coordinates @p spec swept, in artifact column order:
+ *  the bracketed columns of csvHeader(). */
+std::vector<SweptAxis> sweptAxes(const ExperimentSpec &spec);
 
 /** Render the whole sweep as CSV (header + one row per point). */
 std::string toCsv(const SweepResult &result);

@@ -45,8 +45,9 @@ struct PointResult
 {
     GridPoint point;
 
-    /** Kernel events executed by this point's simulation (perf
-     *  telemetry for awperf; never part of the CSV/JSON schema). */
+    /** Kernel events executed by this point's simulation (work
+     *  counter for perfbench's server.events; never part of the
+     *  CSV/JSON schema). */
     std::uint64_t events = 0;
 
     std::uint64_t requests = 0;

@@ -16,7 +16,8 @@
  *     simulation state;
  *   - every hook site is a single `if (_observer)` branch, so the
  *     disabled path costs one predictable-not-taken test per event
- *     (the awperf fleet_sweep scenario gates this in CI);
+ *     (perfbench's fleet days run with no observer, and
+ *     scripts/perf_ab.sh times them against the parent commit);
  *   - all published quantities are piecewise-constant between
  *     events (states, power levels) or point events (completions,
  *     idle observations), so an observer can reconstruct exact

@@ -439,7 +439,7 @@ TEST(FleetKernel, SweepArtifactsAreByteIdenticalAcrossKernelKnobs)
 
 TEST(FleetKernel, PackFirstPlusAwBeatsSpreadTunedC6AtFleetScale)
 {
-    // The fleet_10k claim in miniature: on a mostly-idle diurnal
+    // The fleet-day claim in miniature: on a mostly-idle diurnal
     // fleet, consolidating onto few servers under the AW config
     // draws less power than spreading the same load round-robin
     // over tuned-C6 servers -- the PR-2 power gap, reproduced

@@ -49,8 +49,8 @@ readGolden(const std::string &name)
     return out.str();
 }
 
-/** The pinned fleet sweep (awperf's 2x-target scenario): awsweep
- *  --workloads memcached --configs aw,c1c6 --policies
+/** The pinned fleet sweep (the kernel overhaul's headline grid):
+ *  awsweep --workloads memcached --configs aw,c1c6 --policies
  *  round-robin,pack-first --fleet 8 --qps 400000 --seconds 0.3. */
 exp::ExperimentSpec
 fleetSpec()

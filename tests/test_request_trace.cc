@@ -653,7 +653,8 @@ TEST(TraceEmit, RegularArtifactsStayIdenticalWithTracingOn)
 {
     // The tracer is passive and its metrics live in new artifacts
     // only: the pinned CSV/JSON bytes cannot change when tracing
-    // turns on.
+    // turns on, and neither can the kernel events each point
+    // executes or the requests it completes.
     auto spec = tracedFleetSpec();
     spec.traceRequests = false;
     const auto off = exp::SweepRunner(1).run(spec);
@@ -661,11 +662,48 @@ TEST(TraceEmit, RegularArtifactsStayIdenticalWithTracingOn)
     const auto on = exp::SweepRunner(1).run(spec);
     EXPECT_EQ(exp::toCsv(off), exp::toCsv(on));
     EXPECT_EQ(exp::toJson(off), exp::toJson(on));
+    ASSERT_EQ(off.points.size(), on.points.size());
+    for (std::size_t i = 0; i < on.points.size(); ++i) {
+        EXPECT_EQ(off.points[i].events, on.points[i].events) << i;
+        EXPECT_EQ(off.points[i].requests, on.points[i].requests) << i;
+        EXPECT_GT(on.points[i].events, 0u) << i;
+    }
     for (const auto &p : on.points) {
         ASSERT_TRUE(p.trace.has_value());
         EXPECT_GT(p.trace->spans, 0u);
         EXPECT_GT(p.p999LatencyUs, 0.0);
         EXPECT_GE(p.p999LatencyUs, p.p99LatencyUs);
+    }
+}
+
+TEST(PerfRegistry, TraceScenarioExecutesTheSameEventStream)
+{
+    // The tracer's passivity on the pinned 8-server fleet sweep:
+    // with tracing on, every point must execute exactly the kernel
+    // events and complete exactly the requests it does with tracing
+    // off, or the tracer has perturbed the simulation it claims
+    // merely to observe.
+    exp::ExperimentSpec spec;
+    spec.name = "trace-passive-fleet";
+    spec.workloads = {"memcached"};
+    spec.configs = {"aw", "c1c6"};
+    spec.policies = {"round-robin", "pack-first"};
+    spec.fleetSizes = {8};
+    spec.qps = {400e3};
+    spec.seconds = 0.3;
+    spec.seed = 42;
+    const auto plain = exp::SweepRunner(1).run(spec);
+    spec.traceRequests = true;
+    const auto traced = exp::SweepRunner(1).run(spec);
+    ASSERT_EQ(plain.points.size(), 4u);
+    ASSERT_EQ(plain.points.size(), traced.points.size());
+    for (std::size_t i = 0; i < traced.points.size(); ++i) {
+        ASSERT_TRUE(traced.points[i].trace.has_value()) << i;
+        EXPECT_EQ(plain.points[i].point.servers, 8u) << i;
+        EXPECT_EQ(plain.points[i].events, traced.points[i].events) << i;
+        EXPECT_EQ(plain.points[i].requests, traced.points[i].requests)
+            << i;
+        EXPECT_GT(traced.points[i].events, 0u) << i;
     }
 }
 

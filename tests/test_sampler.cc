@@ -363,6 +363,36 @@ TEST(Sampler, TimelineArtifactsAreThreadCountInvariant)
     EXPECT_EQ(exp::toJson(rp), exp::toJson(r1));
 }
 
+TEST(Sampler, FleetTimelineLeavesEventsAndRequestsUnchanged)
+{
+    // The sampler's passivity on fleets: every server of a routed
+    // fleet carries a recorder, and with them on each point must
+    // execute exactly the kernel events and complete exactly the
+    // requests it does with them off.
+    exp::ExperimentSpec spec;
+    spec.name = "tl-passive-fleet";
+    spec.workloads = {"memcached"};
+    spec.configs = {"aw", "c1c6"};
+    spec.policies = {"round-robin", "pack-first"};
+    spec.fleetSizes = {4};
+    spec.qps = {200e3};
+    spec.seconds = 0.1;
+    spec.seed = 42;
+    const auto off = exp::SweepRunner(2).run(spec);
+    spec.timelineIntervalSeconds = 0.01;
+    const auto on = exp::SweepRunner(2).run(spec);
+    ASSERT_EQ(on.points.size(), 4u);
+    ASSERT_EQ(off.points.size(), on.points.size());
+    for (std::size_t i = 0; i < on.points.size(); ++i) {
+        ASSERT_NE(on.points[i].timeline, nullptr) << i;
+        EXPECT_EQ(off.points[i].point.servers, 4u) << i;
+        EXPECT_EQ(off.points[i].events, on.points[i].events) << i;
+        EXPECT_EQ(off.points[i].requests, on.points[i].requests) << i;
+        EXPECT_GT(on.points[i].events, 0u) << i;
+    }
+    EXPECT_EQ(exp::toCsv(off), exp::toCsv(on));
+}
+
 TEST(Sampler, CsvSchemaIsPinned)
 {
     TimelineRecorder rec(cfgWith(1e-3), 1);

@@ -260,19 +260,14 @@ main(int argc, char **argv)
                     runner.threads(),
                     static_cast<unsigned long long>(spec.seed),
                     result.wallSeconds);
-        // DVFS columns appear only when the spec swept those axes,
-        // mirroring the artifact emitters.
-        const bool freq_axis = !spec.freqPolicies.empty();
-        const bool slo_axis = !spec.sloUs.empty();
-        const bool cap_axis = !spec.capWatts.empty();
+        // The optional axes' columns appear only when the spec swept
+        // them, as in the artifacts; an axis off at a point (no
+        // frequency governor, SLO or cap) shows "-".
+        const auto axes = exp::sweptAxes(spec);
         std::vector<std::string> headers = {"workload", "config",
                                             "governor"};
-        if (freq_axis)
-            headers.push_back("freq");
-        if (slo_axis)
-            headers.push_back("slo us");
-        if (cap_axis)
-            headers.push_back("cap W");
+        for (const auto &axis : axes)
+            headers.push_back(axis.name);
         for (const char *h :
              {"policy", "K", "qps", "rep", "power W", "mJ/req",
               "avg us", "p99 us", "deep idle"})
@@ -283,17 +278,10 @@ main(int argc, char **argv)
             std::vector<std::string> row = {
                 pt.workload, pt.config,
                 pt.governor.empty() ? "-" : pt.governor};
-            if (freq_axis)
-                row.push_back(pt.freqPolicy.empty() ? "-"
-                                                    : pt.freqPolicy);
-            if (slo_axis)
-                row.push_back(pt.sloUs > 0.0
-                                  ? analysis::cell("%g", pt.sloUs)
-                                  : std::string("-"));
-            if (cap_axis)
-                row.push_back(pt.capWatts > 0.0
-                                  ? analysis::cell("%g", pt.capWatts)
-                                  : std::string("-"));
+            for (const auto &axis : axes) {
+                std::string v = axis.value(pt);
+                row.push_back(v.empty() || v == "0" ? "-" : std::move(v));
+            }
             for (std::string &cell : std::vector<std::string>{
                      pt.policy.empty() ? "-" : pt.policy,
                      pt.servers ? analysis::cell("%u", pt.servers)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Flag-value parsing shared by awsim, awsweep and awperf. A parser
+ * Flag-value parsing shared by awsim and awsweep. A parser
  * takes the whole value or dies with "<flag>: bad value '<value>'":
  * no numeric prefix is taken and no negative number wraps.
  */
