@@ -7,7 +7,9 @@ Usage:
 
 Runs each tool with --help, extracts every `--flag` token from the
 usage text, and fails unless each token appears verbatim somewhere
-in a Markdown file under the docs directory. This keeps the recipe
+in a Markdown file under the docs directory. Both tools print --help
+from the flag table in tools/cli.hh that also parses their flags, so
+the usage text names every flag a tool accepts. This keeps the recipe
 docs (docs/AWSIM.md, docs/EXPERIMENTS.md, ...) from silently
 trailing the binaries when a new knob lands: the PR that adds a
 flag must also document it, or CI goes red.

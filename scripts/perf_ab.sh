@@ -2,13 +2,16 @@
 #
 # Same-machine A/B of the simulator's speed against another commit.
 #
-# Builds <rev> in a throwaway git worktree (under mktemp -d, removed on
-# exit) and, for each perfbench workload, runs 10 pairs of
+# Builds both sides as fresh trees under one mktemp -d (removed on
+# exit), each with its own new .bench_build: the change is a copy of
+# this checkout's files (tracked and untracked-but-not-ignored,
+# uncommitted edits included), the parent a git worktree of <rev>.
+# Neither side reuses a build this checkout already has. For each
+# perfbench workload it runs 10 pairs of
 #
 #   python3 perfbench/run.py --workload W --seconds 1 --trace 0
 #
-# one in this checkout (the change, uncommitted edits included) and
-# one in the worktree (the parent), alternating which side runs first.
+# one in each tree, alternating which side runs first.
 # For every end-to-end metric it prints each side's median and
 # quartiles, the median of the per-pair ratios change/parent with
 # their quartiles, and the pairs the change won. It exits 1 when a run fails or when, on any
@@ -36,15 +39,25 @@ cleanup() {
 trap cleanup EXIT
 git -C "$ROOT" worktree add --quiet --detach "$tmp/parent" "$rev"
 
-python3 - "$ROOT" "$tmp/parent" "$rev" <<'EOF'
+python3 - "$ROOT" "$tmp/change" "$tmp/parent" "$rev" <<'EOF'
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
 
-change, parent, rev = sys.argv[1:]
+root, change, parent, rev = sys.argv[1:]
 sys.stdout.reconfigure(line_buffering=True)
+files = subprocess.run(
+    ["git", "-C", root, "ls-files", "-z", "--cached", "--others",
+     "--exclude-standard"], capture_output=True, check=True).stdout
+for name in filter(None, os.fsdecode(files).split("\0")):
+    src = os.path.join(root, name)
+    if os.path.lexists(src):  # a tracked file deleted here stays gone
+        dst = os.path.join(change, name)
+        os.makedirs(os.path.dirname(dst), exist_ok=True)
+        shutil.copy2(src, dst, follow_symlinks=False)
 PAIRS = 10
 with open(os.path.join(change, "BENCHMARK.json")) as f:
     bench = json.load(f)
@@ -79,7 +92,7 @@ def spread(values):
 
 
 print("perf_ab: change %s vs parent %s, %d pairs per workload, "
-      "wall_s bound %.2f" % (change, rev[:12], PAIRS, bound))
+      "wall_s bound %.2f" % (root, rev[:12], PAIRS, bound))
 failed = False
 worst = (0.0, None)
 for workload in workloads:

@@ -301,9 +301,7 @@ TimelineRecorder::series() const &
 TimelineSeries
 TimelineRecorder::series() &&
 {
-    if (!_done)
-        sim::fatal("TimelineRecorder: series() before the run "
-                   "finished");
+    series(); // the lvalue overload dies before the run ended
     return std::move(_series);
 }
 

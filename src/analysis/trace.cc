@@ -224,8 +224,7 @@ RequestTracer::series() const &
 TraceSeries
 RequestTracer::series() &&
 {
-    if (!_done)
-        sim::fatal("RequestTracer: series() before the run ended");
+    series(); // the lvalue overload dies before the run ended
     return std::move(_series);
 }
 

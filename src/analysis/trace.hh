@@ -63,9 +63,13 @@ struct TraceConfig
     /** Span/episode ring capacity: the newest `capacity` records
      *  are retained, older ones are overwritten and counted as
      *  dropped. Must be > 0. A ceiling, not an allocation: the
-     *  rings grow with the records a run makes. The default
-     *  comfortably holds every measured request of the golden
-     *  sweep points (tests assert dropped == 0 there). */
+     *  rings grow with the records a run makes. The default holds
+     *  every measured request of the golden sweep points (tests
+     *  assert dropped == 0 there) but overflows at 200 kQPS:
+     *  perfbench's sweep_policy_grid drops 831,373 spans at its
+     *  200 kQPS points and a 1 s single-server awsim run at
+     *  200 kQPS drops 34% of them. Tail attribution then covers
+     *  only the newest spans (until ROADMAP item 15). */
     std::size_t capacity = std::size_t(1) << 17;
 };
 

@@ -3,8 +3,6 @@
 #include <chrono>
 #include <deque>
 
-#include "cluster/fleet.hh"
-#include "server/server_sim.hh"
 #include "sim/logging.hh"
 
 namespace aw::exp {
@@ -64,39 +62,26 @@ namespace {
  * without any cross-thread sharing. Deques, not vectors: returned
  * references must survive later cache growth.
  */
-const workload::WorkloadProfile &
-cachedProfile(const std::string &name)
+template <typename T, T (*byName)(const std::string &)>
+const T &
+cached(const std::string &name)
 {
-    thread_local std::deque<
-        std::pair<std::string, workload::WorkloadProfile>>
-        cache;
+    thread_local std::deque<std::pair<std::string, T>> cache;
     for (const auto &entry : cache)
         if (entry.first == name)
             return entry.second;
-    cache.emplace_back(name, profileByName(name));
-    return cache.back().second;
-}
-
-const server::ServerConfig &
-cachedConfig(const std::string &name)
-{
-    thread_local std::deque<
-        std::pair<std::string, server::ServerConfig>>
-        cache;
-    for (const auto &entry : cache)
-        if (entry.first == name)
-            return entry.second;
-    cache.emplace_back(name, configByName(name));
+    cache.emplace_back(name, byName(name));
     return cache.back().second;
 }
 
 } // namespace
 
-PointResult
-SweepRunner::runPoint(const ExperimentSpec &spec, const GridPoint &pt)
+PointSetup
+SweepRunner::setupPoint(const ExperimentSpec &spec, const GridPoint &pt)
 {
-    const auto &profile = cachedProfile(pt.workload);
-    auto cfg = cachedConfig(pt.config);
+    PointSetup s;
+    server::ServerConfig &cfg = s.fleet.server;
+    cfg = cached<server::ServerConfig, configByName>(pt.config);
     if (spec.cores > 0)
         cfg.cores = spec.cores;
     if (!pt.governor.empty())
@@ -111,17 +96,91 @@ SweepRunner::runPoint(const ExperimentSpec &spec, const GridPoint &pt)
         cfg.cap.thermalEnabled = true;
     if (!spec.dispatch.empty())
         cfg.dispatch = server::dispatchPolicyByName(spec.dispatch);
+    cfg.seed = pt.seed;
+    // Fleet runs model cpuidle's tick re-selection so spare servers
+    // reach deep idle (see docs/FLEET.md).
+    if (pt.servers > 0)
+        cfg.idlePromotion = true;
+    s.fleet.servers = pt.servers;
+    s.fleet.routing = pt.policy;
+    s.fleet.seed = pt.seed;
+    s.fleet.fleetThreads = spec.fleetThreads;
+    s.fleet.epochSeconds = spec.epochSeconds;
 
-    const sim::Tick duration =
-        spec.seconds > 0.0 ? sim::fromSec(spec.seconds) : 0;
-    const sim::Tick warmup =
-        spec.warmupSeconds >= 0.0 ? sim::fromSec(spec.warmupSeconds)
-                                  : duration / 10;
+    if (spec.seconds > 0.0)
+        s.duration = sim::fromSec(spec.seconds);
+    s.warmup = spec.warmupSeconds >= 0.0
+                   ? sim::fromSec(spec.warmupSeconds)
+                   : s.duration / 10;
+    return s;
+}
 
+PointRun
+SweepRunner::simulate(const ExperimentSpec &spec, const PointSetup &setup,
+                      const workload::WorkloadProfile &profile, double qps,
+                      std::optional<workload::ArrivalTrace> arrivals)
+{
+    std::optional<analysis::TimelineConfig> timeline;
+    if (spec.timelineIntervalSeconds > 0.0)
+        timeline = analysis::TimelineConfig{
+            .intervalSeconds = spec.timelineIntervalSeconds};
+    PointRun run;
+    if (setup.fleet.servers > 0) {
+        cluster::FleetSim fleet(setup.fleet, profile, qps);
+        if (arrivals)
+            fleet.setArrivalTrace(std::move(*arrivals));
+        if (timeline)
+            fleet.enableTimeline(*timeline);
+        if (spec.traceRequests)
+            fleet.enableRequestTrace(analysis::TraceConfig{});
+        auto &r = run.fleet.emplace(
+            setup.duration > 0 ? fleet.run(setup.duration, setup.warmup)
+                               : fleet.run());
+        run.timeline.swap(r.timeline); // leaves the result's empty
+        run.trace.swap(r.trace);
+        return run;
+    }
+
+    const server::ServerConfig &cfg = setup.fleet.server;
+    const auto srv =
+        arrivals ? std::make_unique<server::ServerSim>(
+                       cfg, profile,
+                       std::make_unique<workload::TraceArrivals>(
+                           std::move(*arrivals), /*loop=*/true))
+                 : std::make_unique<server::ServerSim>(cfg, profile, qps);
+    std::optional<analysis::TimelineRecorder> recorder;
+    std::optional<analysis::RequestTracer> tracer;
+    server::TelemetryFanout fanout;
+    if (timeline)
+        recorder.emplace(*timeline, cfg.cores);
+    if (spec.traceRequests)
+        tracer.emplace(analysis::TraceConfig{}, cfg.cores);
+    fanout.add(recorder ? &*recorder : nullptr);
+    fanout.add(tracer ? &*tracer : nullptr);
+    srv->setObserver(fanout.target());
+    run.server = setup.duration > 0 ? srv->run(setup.duration, setup.warmup)
+                                    : srv->run();
+    if (recorder)
+        run.timeline = std::move(*recorder).series();
+    if (tracer)
+        run.trace = std::move(*tracer).series();
+    return run;
+}
+
+PointResult
+SweepRunner::runPoint(const ExperimentSpec &spec, const GridPoint &pt)
+{
+    auto run = simulate(
+        spec, setupPoint(spec, pt),
+        cached<workload::WorkloadProfile, profileByName>(pt.workload),
+        pt.qps);
     PointResult res;
     res.point = pt;
+    if (run.timeline)
+        res.timeline = std::make_shared<analysis::TimelineSeries>(
+            std::move(*run.timeline));
     // The fields a FleetResult and a RunResult share.
-    const auto fill = [&res, &spec](const auto &r) {
+    const auto fill = [&res, &spec, &run](const auto &r) {
         res.events = r.events;
         res.requests = r.requests;
         res.achievedQps = r.achievedQps;
@@ -129,6 +188,12 @@ SweepRunner::runPoint(const ExperimentSpec &spec, const GridPoint &pt)
         res.avgLatencyUs = r.avgLatencyUs;
         res.p99LatencyUs = r.p99LatencyUs;
         res.residency = r.residency.share;
+        if (run.trace) {
+            // Attribute and drop the raw spans: a sweep keeps one
+            // attribution per point, not millions of span records.
+            res.trace = analysis::attributeTail(*run.trace);
+            res.p999LatencyUs = r.p999LatencyUs;
+        }
         // Cap metrics ride the extras channel only when the spec
         // engaged the subsystem, so no-axis artifacts keep their
         // pre-cap schema byte for byte.
@@ -139,36 +204,8 @@ SweepRunner::runPoint(const ExperimentSpec &spec, const GridPoint &pt)
         }
     };
 
-    if (pt.servers > 0) {
-        cluster::FleetConfig fc;
-        fc.servers = pt.servers;
-        fc.server = cfg;
-        // Fleet runs model cpuidle's tick re-selection so spare
-        // servers reach deep idle (matches awsim's fleet mode).
-        fc.server.idlePromotion = true;
-        fc.routing = pt.policy;
-        fc.seed = pt.seed;
-        fc.fleetThreads = spec.fleetThreads;
-        fc.epochSeconds = spec.epochSeconds;
-        cluster::FleetSim fleet(fc, profile, pt.qps);
-        if (spec.timelineIntervalSeconds > 0.0) {
-            analysis::TimelineConfig tc;
-            tc.intervalSeconds = spec.timelineIntervalSeconds;
-            fleet.enableTimeline(tc);
-        }
-        if (spec.traceRequests)
-            fleet.enableRequestTrace(analysis::TraceConfig{});
-        auto r = duration > 0 ? fleet.run(duration, warmup)
-                              : fleet.run();
-        if (r.timeline)
-            res.timeline = std::make_shared<analysis::TimelineSeries>(
-                std::move(*r.timeline));
-        if (r.trace) {
-            // Attribute and drop the raw spans: a sweep keeps one
-            // attribution per point, not millions of span records.
-            res.trace = analysis::attributeTail(*r.trace);
-            res.p999LatencyUs = r.p999LatencyUs;
-        }
+    if (run.fleet) {
+        const auto &r = *run.fleet;
         fill(r);
         res.powerW = r.fleetPower;
         res.energyPerRequestMj = r.energyPerRequestMj;
@@ -177,30 +214,7 @@ SweepRunner::runPoint(const ExperimentSpec &spec, const GridPoint &pt)
         res.maxServerDeepShare = r.maxServerDeepShare;
         res.busiestShareOfLoad = r.busiestShareOfLoad;
     } else {
-        cfg.seed = pt.seed;
-        server::ServerSim srv(cfg, profile, pt.qps);
-        std::optional<analysis::TimelineRecorder> recorder;
-        std::optional<analysis::RequestTracer> tracer;
-        server::TelemetryFanout fanout;
-        if (spec.timelineIntervalSeconds > 0.0) {
-            analysis::TimelineConfig tc;
-            tc.intervalSeconds = spec.timelineIntervalSeconds;
-            recorder.emplace(tc, cfg.cores);
-        }
-        if (spec.traceRequests)
-            tracer.emplace(analysis::TraceConfig{}, cfg.cores);
-        fanout.add(recorder ? &*recorder : nullptr);
-        fanout.add(tracer ? &*tracer : nullptr);
-        srv.setObserver(fanout.target());
-        const auto r = duration > 0 ? srv.run(duration, warmup)
-                                    : srv.run();
-        if (recorder)
-            res.timeline = std::make_shared<analysis::TimelineSeries>(
-                std::move(*recorder).series());
-        if (tracer) {
-            res.trace = analysis::attributeTail(tracer->series());
-            res.p999LatencyUs = r.p999LatencyUs;
-        }
+        const auto &r = *run.server;
         fill(r);
         res.powerW = r.packagePower;
         res.energyPerRequestMj =

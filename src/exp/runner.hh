@@ -20,9 +20,12 @@
 
 #include "analysis/sampler.hh"
 #include "analysis/trace.hh"
+#include "cluster/fleet.hh"
 #include "cstate/cstate.hh"
 #include "exp/spec.hh"
+#include "server/server_sim.hh"
 #include "sim/thread_pool.hh"
+#include "workload/trace.hh"
 
 namespace aw::exp {
 
@@ -83,6 +86,28 @@ struct PointResult
      *  Emitted by toTraceCsv/Json, never by the regular artifact
      *  emitters. */
     std::optional<analysis::TailAttribution> trace;
+};
+
+/** What one grid point runs. */
+struct PointSetup
+{
+    /** fleet.server is the point's server config, seeded with the
+     *  point's seed; a single-server point (fleet.servers == 0)
+     *  runs it alone, a fleet point runs the whole FleetConfig. */
+    cluster::FleetConfig fleet;
+    sim::Tick duration = 0; //!< 0 = the simulators' auto-sized window
+    sim::Tick warmup = 0;
+};
+
+/** What a point's simulation produced: the result of its ServerSim
+ *  or FleetSim, and the timeline and request trace the spec asked
+ *  for. */
+struct PointRun
+{
+    std::optional<server::RunResult> server; //!< single-server point
+    std::optional<cluster::FleetResult> fleet; //!< fleet point
+    std::optional<analysis::TimelineSeries> timeline;
+    std::optional<analysis::TraceSeries> trace;
 };
 
 /** Execute one grid point; must be pure in the point (same point,
@@ -154,6 +179,20 @@ class SweepRunner
      */
     static PointResult runPoint(const ExperimentSpec &spec,
                                 const GridPoint &pt);
+
+    /** The default point function's simulator inputs: the point's
+     *  config with the spec's and the point's overrides, the fleet
+     *  around it and the window. awsim builds its run from it. */
+    static PointSetup setupPoint(const ExperimentSpec &spec,
+                                 const GridPoint &pt);
+
+    /** Run @p setup at @p qps, or replaying @p arrivals (looped),
+     *  with the observers @p spec asks for; the default point
+     *  function's simulation, shared with awsim. */
+    static PointRun
+    simulate(const ExperimentSpec &spec, const PointSetup &setup,
+             const workload::WorkloadProfile &profile, double qps,
+             std::optional<workload::ArrivalTrace> arrivals = {});
 
     unsigned threads() const
     {

@@ -133,11 +133,4 @@ meanOfRuns(std::span<const std::span<const double>> runs)
     return n > 0 ? sum / static_cast<double>(n) : 0.0;
 }
 
-void
-WeightedShares::reset()
-{
-    std::fill(_weights.begin(), _weights.end(), 0.0);
-    _total = 0.0;
-}
-
 } // namespace aw::sim

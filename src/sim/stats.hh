@@ -174,50 +174,6 @@ percentilesOfSortedRuns(std::span<const std::span<const double>> runs,
  */
 double meanOfRuns(std::span<const std::span<const double>> runs);
 
-/**
- * Time-weighted fraction tracker: accumulates durations attributed to
- * discrete categories and reports each category's share.
- *
- * This is the core of residency accounting (fraction of time per
- * C-state).
- */
-class WeightedShares
-{
-  public:
-    explicit WeightedShares(std::size_t categories)
-        : _weights(categories, 0.0)
-    {}
-
-    void
-    add(std::size_t category, double weight)
-    {
-        _weights.at(category) += weight;
-        _total += weight;
-    }
-
-    double totalWeight() const { return _total; }
-
-    /** Fraction of total weight in @p category (0 if no weight). */
-    double
-    share(std::size_t category) const
-    {
-        return _total > 0.0 ? _weights.at(category) / _total : 0.0;
-    }
-
-    double weight(std::size_t category) const
-    {
-        return _weights.at(category);
-    }
-
-    std::size_t categories() const { return _weights.size(); }
-
-    void reset();
-
-  private:
-    std::vector<double> _weights;
-    double _total = 0.0;
-};
-
 } // namespace aw::sim
 
 #endif // AW_SIM_STATS_HH

@@ -10,6 +10,13 @@
 #include <array>
 #include <cstdio>
 #include <string>
+#include <vector>
+
+#include "cluster/routing.hh"
+#include "cstate/governors.hh"
+#include "exp/spec.hh"
+#include "freq/policies.hh"
+#include "server/config.hh"
 
 namespace {
 
@@ -39,6 +46,23 @@ TEST(AwsimTool, HelpExitsZero)
     EXPECT_EQ(code, 0);
     EXPECT_NE(out.find("--workload"), std::string::npos);
     EXPECT_NE(out.find("--config"), std::string::npos);
+}
+
+TEST(AwsimTool, HelpNamesEveryRegistryEntry)
+{
+    // --help prints the name lists from the registries, so a new
+    // workload, config, governor, route or dispatch policy shows up
+    // without touching the tool.
+    const auto [code, out] = runCommand(std::string(AWSIM_BIN) +
+                                        " --help");
+    EXPECT_EQ(code, 0);
+    for (const auto *names :
+         {&aw::exp::workloadNames(), &aw::exp::configNames(),
+          &aw::cstate::governorKinds(), &aw::freq::freqPolicyKinds(),
+          &aw::cluster::routingPolicyNames(),
+          &aw::server::dispatchPolicyNames()})
+        for (const auto &name : *names)
+            EXPECT_NE(out.find(name), std::string::npos) << name;
 }
 
 TEST(AwsimTool, BasicRunProducesMetrics)
@@ -174,7 +198,9 @@ INSTANTIATE_TEST_SUITE_P(
         BadFlag{"--fleet 8 --epoch 0", "positive"},
         BadFlag{"--fleet 8 --epoch -0.5", "positive"},
         BadFlag{"--fleet-threads 2", "requires --fleet"},
-        BadFlag{"--epoch 0.1", "requires --fleet"}));
+        BadFlag{"--epoch 0.1", "requires --fleet"},
+        BadFlag{"--qps", "needs a value"},
+        BadFlag{"--timeline-interval 0.01", "--timeline"}));
 
 TEST(AwsimTool, DeterministicForFixedSeed)
 {

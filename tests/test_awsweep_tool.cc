@@ -16,6 +16,12 @@
 #include <sstream>
 #include <string>
 
+#include "cluster/routing.hh"
+#include "cstate/governors.hh"
+#include "exp/spec.hh"
+#include "freq/policies.hh"
+#include "server/config.hh"
+
 namespace {
 
 #ifndef AWSWEEP_BIN
@@ -61,6 +67,20 @@ TEST(AwsweepTool, HelpExitsZeroAndDocumentsTheKernelKnobs)
     EXPECT_NE(out.find("--fleet"), std::string::npos);
     EXPECT_NE(out.find("--fleet-threads"), std::string::npos);
     EXPECT_NE(out.find("--epoch"), std::string::npos);
+}
+
+TEST(AwsweepTool, HelpNamesEveryRegistryEntry)
+{
+    const auto [code, out] =
+        runCommand(std::string(AWSWEEP_BIN) + " --help");
+    EXPECT_EQ(code, 0);
+    for (const auto *names :
+         {&aw::exp::workloadNames(), &aw::exp::configNames(),
+          &aw::cstate::governorKinds(), &aw::freq::freqPolicyKinds(),
+          &aw::cluster::routingPolicyNames(),
+          &aw::server::dispatchPolicyNames()})
+        for (const auto &name : *names)
+            EXPECT_NE(out.find(name), std::string::npos) << name;
 }
 
 TEST(AwsweepTool, SmallSweepPrintsTheSummaryTable)
@@ -147,6 +167,7 @@ INSTANTIATE_TEST_SUITE_P(
         BadFlag{"--frobnicate", "unknown argument"},
         BadFlag{"--slo 8,-1", "non-negative"},
         BadFlag{"--caps -18", "non-negative"},
-        BadFlag{"--replicas 4294967295", "ceiling"}));
+        BadFlag{"--replicas 4294967295", "ceiling"},
+        BadFlag{"--qps", "needs a value"}));
 
 } // namespace

@@ -322,32 +322,4 @@ TEST(SortedRunsDeathTest, OutOfRangePanics)
     EXPECT_DEATH(percentilesOfSortedRuns(spans, ps), "range");
 }
 
-TEST(WeightedShares, SharesSumToOne)
-{
-    WeightedShares ws(3);
-    ws.add(0, 10.0);
-    ws.add(1, 30.0);
-    ws.add(2, 60.0);
-    EXPECT_DOUBLE_EQ(ws.share(0), 0.1);
-    EXPECT_DOUBLE_EQ(ws.share(1), 0.3);
-    EXPECT_DOUBLE_EQ(ws.share(2), 0.6);
-    EXPECT_DOUBLE_EQ(ws.share(0) + ws.share(1) + ws.share(2), 1.0);
-}
-
-TEST(WeightedShares, EmptyIsZero)
-{
-    WeightedShares ws(2);
-    EXPECT_DOUBLE_EQ(ws.share(0), 0.0);
-    EXPECT_DOUBLE_EQ(ws.totalWeight(), 0.0);
-}
-
-TEST(WeightedShares, ResetClears)
-{
-    WeightedShares ws(2);
-    ws.add(0, 5.0);
-    ws.reset();
-    EXPECT_DOUBLE_EQ(ws.totalWeight(), 0.0);
-    EXPECT_DOUBLE_EQ(ws.weight(0), 0.0);
-}
-
 } // namespace
